@@ -642,8 +642,8 @@ func runFleetCompromise(w io.Writer, seed uint64, ob obsPair) {
 	}
 	fmt.Fprintf(w, "fleet: %d vehicles, 4-zone E/E topology, every 5th head unit compromised\n", n)
 	start := time.Now()
-	results, obsRes, err := fleet.DriveObs(context.Background(), fleet.Driver{Cfg: cfg, N: n, Workers: fleetPar}, opts,
-		func(idx int, v *core.Vehicle) (res, error) {
+	results, obsRes, err := fleet.DriveObs(context.Background(), fleet.Driver{Cfg: cfg, N: n, Workers: fleetPar}, opts, fleet.Wave{Hi: n},
+		func(idx int, v *core.Vehicle, _ *obs.Registry) (res, error) {
 			r := res{compromised: idx%5 == 0}
 			k := v.Kernel
 			// Vehicle 0 stands in for the fleet on -trace: Reset detaches

@@ -2,7 +2,9 @@
 // against a committed BENCH_PRn.json baseline. Three families of checks:
 //
 //  1. Experiment tables: every experiment pinned in the baseline is
-//     re-run and its rendered-table SHA-256 must match byte for byte —
+//     re-run in its golden configuration (zero experiments.Params,
+//     whatever the command-line flags) and its rendered-table SHA-256
+//     must match byte for byte —
 //     reproducibility is the repo contract, so a hash drift is always a
 //     failure, never a tolerance. Wall-clock is additionally gated for
 //     macro experiments (baseline >= 1s, where 15% is signal rather than
@@ -42,14 +44,6 @@ import (
 	"autosec/internal/ota"
 	"autosec/internal/sim"
 )
-
-// idRunner pairs an experiment id with its table generator; main builds
-// the list (with any sweep overrides from flags) and compare re-runs the
-// subset the baseline pins.
-type idRunner struct {
-	id  string
-	run func(uint64) *experiments.Table
-}
 
 // comparedExperiment is one pinned experiment in a baseline file.
 type comparedExperiment struct {
@@ -128,7 +122,7 @@ const obsOverheadBudget = 1.10
 const campaignMemoSpeedup = 10.0
 
 // runCompare executes the gate and returns the process exit code.
-func runCompare(path string, seed uint64, runners []idRunner) int {
+func runCompare(path string, seed uint64) int {
 	base, err := loadBaseline(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchreport: -compare: %v\n", err)
@@ -147,10 +141,6 @@ func runCompare(path string, seed uint64, runners []idRunner) int {
 		fmt.Printf("  skip  "+format+"\n", args...)
 	}
 
-	byID := map[string]func(uint64) *experiments.Table{}
-	for _, r := range runners {
-		byID[r.id] = r.run
-	}
 	ids := make([]string, 0, len(base.experiments))
 	for id := range base.experiments {
 		ids = append(ids, id)
@@ -158,13 +148,13 @@ func runCompare(path string, seed uint64, runners []idRunner) int {
 	sort.Strings(ids)
 	for _, id := range ids {
 		pin := base.experiments[id]
-		run, found := byID[id]
+		spec, found := experiments.Lookup(id)
 		if !found {
 			skip("%s: no such experiment in this build", id)
 			continue
 		}
 		start := time.Now()
-		rendered := run(seed).String()
+		rendered := spec.Run(seed, experiments.Params{}).String()
 		elapsed := time.Since(start)
 		hash := fmt.Sprintf("%x", sha256.Sum256([]byte(rendered)))
 		switch {
@@ -337,7 +327,8 @@ func probeFleetDrive(b *testing.B) {
 func probeFleetDriveObs(b *testing.B) {
 	b.ReportAllocs()
 	_, res, err := fleet.DriveObs(context.Background(), fleet.Driver{Cfg: compareCfg(), N: b.N},
-		fleet.ObsOptions{Metrics: true}, compareVehicle)
+		fleet.ObsOptions{Metrics: true}, fleet.Wave{Hi: b.N},
+		func(idx int, v *core.Vehicle, _ *obs.Registry) (int, error) { return compareVehicle(idx, v) })
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,10 +1,14 @@
 // Command benchreport regenerates the full experiment suite E1–E22 (plus
 // ablations A1–A2) from DESIGN.md and prints each result table, paper
-// claim included. -fleet trims or extends E18's fleet-size sweep the way
-// -zones does E17's zone counts; -kernelpar N runs E19's per-zone-kernel
-// sweep and E21's medium-IDS vehicles with N workers per vehicle (any N
-// prints the same bytes as the default serial reference — that
-// equivalence is the point of E19, and CI diffs both).
+// claim included. The suite, its order and the flags below all come from
+// experiments.Registry. Two flags reach inside an experiment, each only
+// where the experiment's spec declares the axis: -workers N runs every
+// selected experiment with a workers axis (E18–E22) on N kernel or fleet
+// workers — any N prints the same bytes as the default, which is the
+// point of those experiments and what CI diffs — and -sweep LIST replaces
+// the sweep of the one selected experiment with a sweep axis (E17 and
+// E19 zone counts, E18 and E20 fleet sizes), e.g. -only E18 -sweep
+// 500,5000.
 //
 // With -seeds N it becomes a replication study: the suite runs once per
 // seed (seed, seed+1, …) sharded across a -par-sized worker pool, and the
@@ -25,7 +29,9 @@
 // every kernel's dispatch events land in one Chrome trace_event JSON —
 // single-seed mode only, where experiments run sequentially and the
 // interleaving is deterministic. -metrics prints the runtime/metrics
-// snapshot as a table after the run.
+// snapshot as a table after the run. -progress streams E20's per-drive
+// completion and vehicles/sec to stderr, strictly outside the
+// deterministic stdout.
 //
 // -cpuprofile / -memprofile write pprof profiles of the run, so future
 // perf work can grab flame graphs without editing code:
@@ -33,24 +39,18 @@
 //	go run ./cmd/benchreport -only E1 -cpuprofile cpu.pprof
 //	go tool pprof -top cpu.pprof
 //
-// Fleet observability (E20): -obsfleet trims or extends the fleet-size
-// sweep, -fleetpar pins the fleet driver's worker count (the table is
-// byte-identical for every value — CI diffs 1 against 8), and -progress
-// streams per-drive completion and vehicles/sec to stderr, strictly
-// outside the deterministic stdout. -fleetpar also drives E22's campaign
-// waves at that worker count, under the same byte-identity contract.
-//
 // -compare BASELINE.json is the perf regression gate: it re-runs every
-// experiment pinned in a committed BENCH_PRn.json, requires byte-identical
-// table hashes, fails macro experiments (>= 1s baseline) that slowed by
-// more than 15%, re-measures the fleet drive/merge microbenchmark probes
-// (allocation increases are a hard failure), and enforces the < 10%
-// metrics-plane overhead gate on the fleet drive.
+// experiment pinned in a committed BENCH_PRn.json in its golden
+// configuration (so it rejects -sweep and -workers), requires
+// byte-identical table hashes, fails macro experiments (>= 1s baseline)
+// that slowed by more than 15%, re-measures the fleet drive/merge
+// microbenchmark probes (allocation increases are a hard failure), and
+// enforces the < 10% metrics-plane overhead gate on the fleet drive.
 //
 // Usage:
 //
 //	benchreport [-seed N] [-seeds N] [-par N] [-only E3,E8] [-json FILE]
-//	            [-obsfleet SIZES] [-fleetpar N] [-progress] [-compare FILE]
+//	            [-workers N] [-sweep LIST] [-progress] [-compare FILE]
 //	            [-trace FILE] [-metrics] [-cpuprofile FILE] [-memprofile FILE]
 package main
 
@@ -69,7 +69,7 @@ import (
 	"time"
 
 	"autosec/internal/experiments"
-	fleetpkg "autosec/internal/fleet"
+	"autosec/internal/fleet"
 	"autosec/internal/obs"
 	"autosec/internal/runner"
 	"autosec/internal/sim"
@@ -93,45 +93,141 @@ type jsonExperiment struct {
 	Hash string `json:"table_sha256"`
 }
 
+// options holds the parsed and validated command line.
+type options struct {
+	seed        uint64
+	nseeds      int
+	par         int
+	workers     int
+	sweep       []int
+	sweepID     string // the one selected spec -sweep applies to
+	progress    bool
+	compare     string
+	jsonOut     string
+	traceFile   string
+	showMetrics bool
+	cpuProfile  string
+	memProfile  string
+	specs       []experiments.Spec // selected by -only, in registry order
+}
+
+// parseFlags parses args (without the program name) and rejects
+// contradictory combinations before any experiment runs.
+func parseFlags(args []string) (*options, error) {
+	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
+	o := &options{}
+	fs.Uint64Var(&o.seed, "seed", 1, "base scenario seed (same seed, same tables)")
+	fs.IntVar(&o.nseeds, "seeds", 1, "number of replicate seeds (seed, seed+1, ...); >1 prints aggregated tables")
+	fs.IntVar(&o.par, "par", runtime.GOMAXPROCS(0), "replication worker pool size")
+	only := fs.String("only", "", "comma-separated experiment ids to run (e.g. E3,E8); empty runs all")
+	fs.IntVar(&o.workers, "workers", 0, "kernel or fleet worker count for every selected experiment with a workers axis (0 = each experiment's default; any value prints identical tables)")
+	sweep := fs.String("sweep", "", "comma-separated sweep list for the one selected experiment with a sweep axis (E17/E19 zone counts, E18/E20 fleet sizes); empty uses the golden default")
+	fs.BoolVar(&o.progress, "progress", false, "stream fleet drive progress and throughput to stderr (wall-clock telemetry; never in the tables)")
+	fs.StringVar(&o.compare, "compare", "", "regression-gate the working tree against this committed BENCH_PRn.json baseline and exit")
+	fs.StringVar(&o.jsonOut, "json", "", "write per-experiment ns + table hashes as JSON to this file ('-' for stdout); single-seed mode only")
+	fs.StringVar(&o.traceFile, "trace", "", "write a Chrome trace_event JSON of every kernel's dispatch activity to this file; single-seed mode only")
+	fs.BoolVar(&o.showMetrics, "metrics", false, "print a runtime/metrics snapshot (heap, allocs, GC) after the run")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile taken after the run to this file")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	if o.par <= 0 {
+		o.par = runtime.GOMAXPROCS(0)
+	}
+	if o.workers < 0 {
+		return nil, fmt.Errorf("-workers must be >= 0")
+	}
+	if o.nseeds > 1 {
+		switch {
+		case o.jsonOut != "":
+			return nil, fmt.Errorf("-json requires single-seed mode (drop -seeds)")
+		case o.traceFile != "":
+			return nil, fmt.Errorf("-trace requires single-seed mode (replicates interleave nondeterministically)")
+		case o.compare != "":
+			return nil, fmt.Errorf("-compare requires single-seed mode (drop -seeds)")
+		}
+	}
+	if o.compare != "" && (*sweep != "" || o.workers != 0) {
+		// The gate hashes each experiment's golden configuration.
+		return nil, fmt.Errorf("-compare always runs the golden configuration; drop -sweep and -workers")
+	}
+
+	want := map[string]bool{}
+	if *only != "" {
+		for _, id := range strings.Split(*only, ",") {
+			want[strings.ToUpper(strings.TrimSpace(id))] = true
+		}
+	}
+	var sweepIDs []string
+	for _, s := range experiments.Registry {
+		if len(want) > 0 && !want[s.ID] {
+			continue
+		}
+		o.specs = append(o.specs, s)
+		if s.Axes&experiments.AxisSweep != 0 {
+			sweepIDs = append(sweepIDs, s.ID)
+		}
+	}
+	if len(o.specs) == 0 {
+		return nil, fmt.Errorf("no experiments matched -only=%q", *only)
+	}
+	if *sweep != "" {
+		if len(sweepIDs) != 1 {
+			return nil, fmt.Errorf("-sweep needs exactly one selected experiment with a sweep axis, got %v; pick one with -only", sweepIDs)
+		}
+		o.sweepID = sweepIDs[0]
+		for _, part := range strings.Split(*sweep, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil || n < 1 {
+				return nil, fmt.Errorf("-sweep: %q is not a positive integer", part)
+			}
+			o.sweep = append(o.sweep, n)
+		}
+	}
+	return o, nil
+}
+
+// params returns the Params spec s runs with under o's flags.
+func (o *options) params(s experiments.Spec) experiments.Params {
+	var p experiments.Params
+	if s.Axes&experiments.AxisWorkers != 0 {
+		p.Workers = o.workers
+	}
+	if s.ID == o.sweepID {
+		p.Sweep = o.sweep
+	}
+	if o.progress {
+		p.Observe = func(n int, mode string) fleet.DriveObserver {
+			fmt.Fprintf(os.Stderr, "%s [%s]: driving %d vehicles\n", s.ID, mode, n)
+			return fleet.NewProgressWriter(os.Stderr, n)
+		}
+	}
+	return p
+}
+
 func main() {
-	seed := flag.Uint64("seed", 1, "base scenario seed (same seed, same tables)")
-	nseeds := flag.Int("seeds", 1, "number of replicate seeds (seed, seed+1, ...); >1 prints aggregated tables")
-	par := flag.Int("par", runtime.GOMAXPROCS(0), "replication worker pool size")
-	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E3,E8); empty runs all")
-	zones := flag.String("zones", "", "comma-separated zone counts for E17's sweep (e.g. 2,4,8,16); empty uses the golden default")
-	fleet := flag.String("fleet", "", "comma-separated fleet sizes for E18's sweep (e.g. 500,5000); empty uses the golden default (1000,10000,100000)")
-	kernelpar := flag.Int("kernelpar", 1, "worker count for E19's per-zone-kernel group (1 = serial reference; any value prints identical tables)")
-	obsfleet := flag.String("obsfleet", "", "comma-separated fleet sizes for E20's observability sweep (e.g. 500,5000); empty uses the golden default (1000,10000)")
-	fleetpar := flag.Int("fleetpar", 0, "fleet driver worker count for E20 and E22's campaign waves (0 = default; any value prints identical tables — CI diffs 1 vs 8)")
-	progress := flag.Bool("progress", false, "stream fleet drive progress and throughput to stderr (wall-clock telemetry; never in the tables)")
-	compareFile := flag.String("compare", "", "regression-gate the working tree against this committed BENCH_PRn.json baseline and exit")
-	jsonOut := flag.String("json", "", "write per-experiment ns + table hashes as JSON to this file ('-' for stdout); single-seed mode only")
-	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON of every kernel's dispatch activity to this file; single-seed mode only")
-	showMetrics := flag.Bool("metrics", false, "print a runtime/metrics snapshot (heap, allocs, GC) after the run")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-	flag.Parse()
-	if *par <= 0 {
-		*par = runtime.GOMAXPROCS(0)
+	o, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		os.Exit(0)
 	}
-	if *jsonOut != "" && *nseeds > 1 {
-		fmt.Fprintln(os.Stderr, "benchreport: -json requires single-seed mode (drop -seeds)")
-		os.Exit(1)
-	}
-	if *traceFile != "" && *nseeds > 1 {
-		fmt.Fprintln(os.Stderr, "benchreport: -trace requires single-seed mode (replicates interleave nondeterministically)")
-		os.Exit(1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
+		os.Exit(2)
 	}
 	var tracer *obs.Tracer
-	if *traceFile != "" {
+	if o.traceFile != "" {
 		// The experiments build their kernels internally, so the only
 		// tracing hook is the process default every NewKernel picks up.
 		tracer = obs.NewTracer(0)
 		sim.SetDefaultTraceSink(tracer)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 			os.Exit(1)
@@ -143,9 +239,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if o.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(o.memProfile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 				return
@@ -158,146 +254,21 @@ func main() {
 		}()
 	}
 
-	e17 := experiments.E17Zonal
-	if *zones != "" {
-		counts, err := parseZones(*zones)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		e17 = func(s uint64) *experiments.Table { return experiments.E17ZonalWith(s, counts) }
-	}
-	e18 := experiments.E18Fleet
-	if *fleet != "" {
-		sizes, err := parseFleet(*fleet)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		e18 = func(s uint64) *experiments.Table {
-			return experiments.E18FleetWith(s, sizes, []int{1, 2, 4})
-		}
+	if o.compare != "" {
+		os.Exit(runCompare(o.compare, o.seed))
 	}
 
-	if *kernelpar < 1 {
-		fmt.Fprintln(os.Stderr, "benchreport: -kernelpar must be >= 1")
-		os.Exit(1)
-	}
-	e19 := experiments.E19KernelPar
-	if *kernelpar != 1 {
-		e19 = func(s uint64) *experiments.Table {
-			return experiments.E19KernelParWith(s, []int{2, 4, 8, 16}, *kernelpar)
-		}
-	}
-	// E21 drives its per-zone-kernel vehicles with the same worker
-	// override as E19; every value prints identical bytes and CI diffs it.
-	e21 := experiments.E21MediumIDS
-	if *kernelpar != 1 {
-		e21 = func(s uint64) *experiments.Table {
-			return experiments.E21MediumIDSWith(s, *kernelpar)
-		}
-	}
-
-	if *fleetpar < 0 {
-		fmt.Fprintln(os.Stderr, "benchreport: -fleetpar must be >= 0")
-		os.Exit(1)
-	}
-	// E22 drives its campaign waves with the -fleetpar worker count; the
-	// default 0 keeps the serial golden reference. Any value prints
-	// identical bytes — CI byte-diffs 1 against 8.
-	e22 := experiments.E22Campaign
-	if *fleetpar > 1 {
-		e22 = func(s uint64) *experiments.Table {
-			return experiments.E22CampaignWith(s, *fleetpar)
-		}
-	}
-	e20 := experiments.E20Observability
-	if *obsfleet != "" || *fleetpar != 0 || *progress {
-		sizes := []int{1_000, 10_000}
-		if *obsfleet != "" {
-			var err error
-			if sizes, err = parseFleet(*obsfleet); err != nil {
-				fmt.Fprintf(os.Stderr, "benchreport: -obsfleet: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		var observe func(int, string) fleetpkg.DriveObserver
-		if *progress {
-			observe = func(n int, mode string) fleetpkg.DriveObserver {
-				fmt.Fprintf(os.Stderr, "E20 [%s]: driving %d vehicles\n", mode, n)
-				return fleetpkg.NewProgressWriter(os.Stderr, n)
-			}
-		}
-		e20 = func(s uint64) *experiments.Table {
-			return experiments.E20ObservabilityObserved(s, sizes, *fleetpar, observe)
-		}
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
-
-	runners := []idRunner{
-		{"E1", experiments.E1BusDoS},
-		{"E2", experiments.E2SideChannel},
-		{"E3", experiments.E3FleetCompromise},
-		{"E4", experiments.E4Pseudonym},
-		{"E5", experiments.E5Tradeoff},
-		{"E6", experiments.E6Verification},
-		{"E7", experiments.E7AuthenticatedCAN},
-		{"E8", experiments.E8Gateway},
-		{"E9", experiments.E9Relay},
-		{"E10", experiments.E10OTA},
-		{"E11", experiments.E11IDS},
-		{"E12", experiments.E12Lifetime},
-		{"E13", experiments.E13DiagnosticAccess},
-		{"E14", experiments.E14BusOff},
-		{"E15", experiments.E15VerifyScaling},
-		{"E16", experiments.E16CrossMediumGateway},
-		{"E17", e17},
-		{"E18", e18},
-		{"E19", e19},
-		{"E20", e20},
-		{"E21", e21},
-		{"E22", e22},
-		{"A1", experiments.A1MACTruncation},
-		{"A2", experiments.A2BoundingThreshold},
-	}
-
-	if *compareFile != "" {
-		if *nseeds > 1 {
-			fmt.Fprintln(os.Stderr, "benchreport: -compare requires single-seed mode (drop -seeds)")
-			os.Exit(1)
-		}
-		os.Exit(runCompare(*compareFile, *seed, runners))
-	}
-
-	selected := runners[:0:0]
-	for _, r := range runners {
-		if len(want) > 0 && !want[r.id] {
-			continue
-		}
-		selected = append(selected, r)
-	}
-	if len(selected) == 0 {
-		fmt.Fprintf(os.Stderr, "benchreport: no experiments matched -only=%q\n", *only)
-		os.Exit(1)
-	}
-
-	if *nseeds <= 1 {
-		report := jsonReport{Seed: *seed, GoVersion: runtime.Version()}
-		quiet := *jsonOut == "-" // keep stdout parseable
-		for _, r := range selected {
+	if o.nseeds <= 1 {
+		report := jsonReport{Seed: o.seed, GoVersion: runtime.Version()}
+		quiet := o.jsonOut == "-" // keep stdout parseable
+		for _, s := range o.specs {
 			start := time.Now()
-			table := r.run(*seed)
+			table := s.Run(o.seed, o.params(s))
 			elapsed := time.Since(start)
 			rendered := table.String()
 			report.TotalNS += elapsed.Nanoseconds()
 			report.Experiments = append(report.Experiments, jsonExperiment{
-				ID:   r.id,
+				ID:   s.ID,
 				NS:   elapsed.Nanoseconds(),
 				Hash: fmt.Sprintf("%x", sha256.Sum256([]byte(rendered))),
 			})
@@ -307,22 +278,22 @@ func main() {
 			}
 		}
 		report.Runtime = obs.RuntimeMetrics()
-		if *jsonOut != "" {
-			if err := writeJSON(*jsonOut, &report); err != nil {
+		if o.jsonOut != "" {
+			if err := writeJSON(o.jsonOut, &report); err != nil {
 				fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 				os.Exit(1)
 			}
 		}
 		if tracer != nil {
-			if err := writeTrace(*traceFile, tracer); err != nil {
+			if err := writeTrace(o.traceFile, tracer); err != nil {
 				fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 				os.Exit(1)
 			}
 			if !quiet {
-				fmt.Printf("trace: %d events (%d dropped) -> %s\n", tracer.Len(), tracer.Dropped(), *traceFile)
+				fmt.Printf("trace: %d events (%d dropped) -> %s\n", tracer.Len(), tracer.Dropped(), o.traceFile)
 			}
 		}
-		if *showMetrics && !quiet {
+		if o.showMetrics && !quiet {
 			// with -json - the runtime block is already in the JSON and
 			// stdout must stay parseable
 			printRuntimeMetrics(report.Runtime)
@@ -332,16 +303,16 @@ func main() {
 
 	// Replication mode: run the selected suite once per seed on the pool,
 	// then print the deterministic merge.
-	suite := func(s uint64) []*experiments.Table {
-		tables := make([]*experiments.Table, len(selected))
-		for i, r := range selected {
-			tables[i] = r.run(s)
+	suite := func(seed uint64) []*experiments.Table {
+		tables := make([]*experiments.Table, len(o.specs))
+		for i, s := range o.specs {
+			tables[i] = s.Run(seed, o.params(s))
 		}
 		return tables
 	}
-	seeds := runner.Seeds(*seed, *nseeds)
+	seeds := runner.Seeds(o.seed, o.nseeds)
 	start := time.Now()
-	tables, err := runner.ReplicateAggregate(context.Background(), suite, seeds, *par)
+	tables, err := runner.ReplicateAggregate(context.Background(), suite, seeds, o.par)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 		os.Exit(1)
@@ -351,36 +322,10 @@ func main() {
 		fmt.Println(t.String())
 	}
 	fmt.Printf("  (%d experiments x %d seeds on %d workers in %v)\n",
-		len(selected), *nseeds, *par, elapsed)
-	if *showMetrics {
+		len(o.specs), o.nseeds, o.par, elapsed)
+	if o.showMetrics {
 		printRuntimeMetrics(obs.RuntimeMetrics())
 	}
-}
-
-// parseZones parses -zones ("2,4,8") into E17ZonalWith's sweep list.
-func parseZones(s string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("-zones: %q is not a zone count >= 2", part)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
-}
-
-// parseFleet parses -fleet ("500,5000") into E18FleetWith's sweep list.
-func parseFleet(s string) ([]int, error) {
-	var sizes []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-fleet: %q is not a fleet size >= 1", part)
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes, nil
 }
 
 // printRuntimeMetrics renders the runtime snapshot through the same

@@ -19,7 +19,7 @@
 // the fleet.
 //
 // Everything the engine reports is deterministic in (Config.Seed,
-// Config.Fleet, wave plan): vehicles are driven via fleet.DriveWaveObs,
+// Config.Fleet, wave plan): vehicles are driven via fleet.DriveObs,
 // so per-vehicle results and merged metrics fold in vehicle-index order
 // whatever the worker count, and every behavioural predicate (late
 // joiners, check-in jitter) keys on the vehicle index or its derived
@@ -392,7 +392,7 @@ func (e *Engine) runWave(ctx context.Context, wi int, w fleet.Wave, campaignReg 
 		N:       e.cfg.Fleet,
 		Workers: e.cfg.Workers,
 	}
-	results, obsRes, err := fleet.DriveWaveObs(ctx, d, fleet.ObsOptions{Metrics: true}, w,
+	results, obsRes, err := fleet.DriveObs(ctx, d, fleet.ObsOptions{Metrics: true}, w,
 		func(idx int, v *core.Vehicle, reg *obs.Registry) (vehicleResult, error) {
 			st := e.states[idx]
 			// Register the full instrument set up front so every vehicle

@@ -6,7 +6,8 @@ import (
 )
 
 func TestA1MACTruncationShape(t *testing.T) {
-	tb := A1MACTruncation(1)
+	t.Parallel()
+	tb := seed1(t, "A1")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}
@@ -36,7 +37,8 @@ func TestA1MACTruncationShape(t *testing.T) {
 }
 
 func TestA2BoundingThresholdShape(t *testing.T) {
-	tb := A2BoundingThreshold(1)
+	t.Parallel()
+	tb := seed1(t, "A2")
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}

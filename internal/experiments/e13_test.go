@@ -3,7 +3,8 @@ package experiments
 import "testing"
 
 func TestE13DiagnosticAccessShape(t *testing.T) {
-	tb := E13DiagnosticAccess(1)
+	t.Parallel()
+	tb := seed1(t, "E13")
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}

@@ -3,7 +3,8 @@ package experiments
 import "testing"
 
 func TestE14BusOffShape(t *testing.T) {
-	tb := E14BusOff(1)
+	t.Parallel()
+	tb := seed1(t, "E14")
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}

@@ -3,7 +3,8 @@ package experiments
 import "testing"
 
 func TestE15VerifyScalingShape(t *testing.T) {
-	tb := E15VerifyScaling(1)
+	t.Parallel()
+	tb := seed1(t, "E15")
 	if len(tb.Rows) != 12 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}

@@ -23,14 +23,14 @@ import (
 // measures what zoning buys (attack containment scoped to one zone while
 // the other zones' flows keep running) and what it costs (backbone load
 // and tunnelling latency on every cross-zone hop).
-func E17Zonal(seed uint64) *Table {
-	return E17ZonalWith(seed, []int{2, 4, 8})
-}
-
-// E17ZonalWith runs the central topology plus one zonal topology per entry
-// in zoneCounts. benchreport's -zones flag feeds custom sweeps through
-// here; the golden table uses the default {2, 4, 8}.
-func E17ZonalWith(seed uint64, zoneCounts []int) *Table {
+//
+// The sweep runs the central topology plus one zonal topology per zone
+// count in p.Sweep (benchreport -sweep); the golden table uses {2, 4, 8}.
+func E17Zonal(seed uint64, p Params) *Table {
+	zoneCounts := p.Sweep
+	if zoneCounts == nil {
+		zoneCounts = []int{2, 4, 8}
+	}
 	t := &Table{
 		ID:      "E17",
 		Title:   "Central gateway vs zonal E/E topologies under attack (§7)",

@@ -24,20 +24,17 @@ import (
 //
 // Wall-clock throughput (vehicles/sec) is deliberately absent from the
 // table — it is machine-dependent and lives in BenchmarkFleetVehiclesPerSec
-// and benchreport -fleet instead.
-func E18Fleet(seed uint64) *Table {
-	return E18FleetWith(seed, []int{1_000, 10_000, 100_000}, []int{1, 2, 4})
-}
-
-// e18Compromised marks every fifth vehicle as carrying the compromised
-// head unit: 20% of the fleet, spread uniformly over the index space.
-func e18Compromised(idx int) bool { return idx%5 == 0 }
-
-// E18FleetWith runs the sweep over custom fleet sizes and zone counts
-// (zones == 1 builds the central-gateway topology). benchreport's -fleet
-// flag feeds custom sweeps through here; the golden table uses the
-// defaults {1e3, 1e4, 1e5} × {1, 2, 4}.
-func E18FleetWith(seed uint64, fleetSizes, zoneCounts []int) *Table {
+// instead.
+//
+// p.Sweep replaces the fleet sizes (benchreport -sweep) and p.Workers
+// the fleet driver's worker count (0 = GOMAXPROCS); the golden table
+// uses {1e3, 1e4, 1e5} × zones {1, 2, 4}, where zones == 1 builds the
+// central-gateway topology.
+func E18Fleet(seed uint64, p Params) *Table {
+	fleetSizes := p.Sweep
+	if fleetSizes == nil {
+		fleetSizes = []int{1_000, 10_000, 100_000}
+	}
 	t := &Table{
 		ID:    "E18",
 		Title: "Fleet-scale sweep: pooled vehicles × zonal containment (§7)",
@@ -46,7 +43,7 @@ func E18FleetWith(seed uint64, fleetSizes, zoneCounts []int) *Table {
 			"attack through/veh", "legit through/veh", "blocked/veh",
 			"backbone frames/veh", "quarantined fraction", "blast radius"},
 	}
-	for _, zones := range zoneCounts {
+	for _, zones := range []int{1, 2, 4} {
 		cfg := core.Config{VIN: "E18-FLEET", Seed: seed}
 		topology := "central gateway"
 		domains := 3 // powertrain, chassis, infotainment
@@ -64,7 +61,7 @@ func E18FleetWith(seed uint64, fleetSizes, zoneCounts []int) *Table {
 			blast = 2 // infotainment + its zone's body domain
 		}
 		for _, n := range fleetSizes {
-			d := fleet.Driver{Cfg: cfg, N: n}
+			d := fleet.Driver{Cfg: cfg, N: n, Workers: p.Workers}
 			perVehicle, err := fleet.Drive(context.Background(), d, func(idx int, v *core.Vehicle) (*Table, error) {
 				return e18Vehicle(v, e18Compromised(idx)), nil
 			})
@@ -95,6 +92,10 @@ func E18FleetWith(seed uint64, fleetSizes, zoneCounts []int) *Table {
 	}
 	return t
 }
+
+// e18Compromised marks every fifth vehicle as carrying the compromised
+// head unit: 20% of the fleet, spread uniformly over the index space.
+func e18Compromised(idx int) bool { return idx%5 == 0 }
 
 // e18Vehicle runs one vehicle's 7ms scenario and returns its single-row
 // metrics table (shape shared by every vehicle so the aggregation fold

@@ -22,17 +22,18 @@ import (
 // byte-identical at any worker count, so the golden file pins both the
 // scenario physics and the determinism of the windowed synchronization
 // protocol. Wall-clock speedup is deliberately absent (machine-
-// dependent); it lives in BenchmarkE19KernelPar and benchreport
-// -kernelpar.
-func E19KernelPar(seed uint64) *Table {
-	return E19KernelParWith(seed, []int{2, 4, 8, 16}, 1)
-}
-
-// E19KernelParWith runs the sweep over custom zone counts at the given
-// worker count. benchreport's -kernelpar flag feeds the worker count
-// through here; the golden table uses workers=1 (the serial reference),
-// and any other value must reproduce it byte for byte.
-func E19KernelParWith(seed uint64, zoneCounts []int, workers int) *Table {
+// dependent); it lives in BenchmarkExperiments/E19 and the
+// BenchmarkE19KernelParWorkers* sweep.
+//
+// p.Sweep replaces the zone counts and p.Workers sets the group's
+// worker count; the golden table is the serial reference (workers 0 or
+// 1) over {2, 4, 8, 16} zones, and any worker count must reproduce it
+// byte for byte.
+func E19KernelPar(seed uint64, p Params) *Table {
+	zoneCounts := p.Sweep
+	if zoneCounts == nil {
+		zoneCounts = []int{2, 4, 8, 16}
+	}
 	t := &Table{
 		ID:    "E19",
 		Title: "Parallel per-zone kernels: conservative backbone-lookahead sync (§7)",
@@ -140,7 +141,7 @@ func E19KernelParWith(seed uint64, zoneCounts []int, workers int) *Table {
 			}
 		})
 
-		g.SetWorkers(workers)
+		g.SetWorkers(p.Workers)
 		if err := g.RunUntil(10 * sim.Second); err != nil {
 			panic(err)
 		}

@@ -20,33 +20,22 @@ import (
 // recorder. Every column is derived from deterministic artifacts — the
 // index-order-merged registry, the trace selection, and per-vehicle
 // audit verdicts — so the table is byte-identical at any worker count
-// (CI diffs -fleetpar 1 against -fleetpar 8). Wall-clock overhead is
-// deliberately absent: it is machine-dependent and lives in
+// (CI diffs benchreport -workers 1 against -workers 8). Wall-clock
+// overhead is deliberately absent: it is machine-dependent and lives in
 // BenchmarkFleetVehiclesPerSec / BenchmarkFleetVehiclesPerSecObs and the
 // benchreport -compare gate instead.
-func E20Observability(seed uint64) *Table {
-	return E20ObservabilityWith(seed, []int{1_000, 10_000}, 0)
-}
-
-// e20TraceRate samples ~2% of vehicles into the flight recorder; audit
-// incidents (the quarantine reflex firing) are always captured on top.
-const e20TraceRate = 0.02
-
-// E20ObservabilityWith runs the sweep over custom fleet sizes and a
-// fixed worker count (0 means GOMAXPROCS). benchreport's -obsfleet flag
-// feeds custom sweeps through here; the golden table uses the defaults
-// {1e3, 1e4} at default parallelism — legal precisely because the plane
-// is worker-count invariant.
-func E20ObservabilityWith(seed uint64, fleetSizes []int, workers int) *Table {
-	return E20ObservabilityObserved(seed, fleetSizes, workers, nil)
-}
-
-// E20ObservabilityObserved additionally attaches runtime telemetry: when
-// observe is non-nil it is called once per drive of the sweep grid and
-// the returned observer receives that drive's progress callbacks.
-// Observers see only wall-clock telemetry, so the table is identical
-// with or without one (benchreport's -progress relies on this).
-func E20ObservabilityObserved(seed uint64, fleetSizes []int, workers int, observe func(fleetSize int, mode string) fleet.DriveObserver) *Table {
+//
+// p.Sweep replaces the fleet sizes and p.Workers the fleet driver's
+// worker count (0 = GOMAXPROCS); the golden table uses {1e3, 1e4} at
+// default parallelism — legal precisely because the plane is
+// worker-count invariant. p.Observe attaches wall-clock telemetry per
+// drive, which never reaches the table (benchreport's -progress relies
+// on this).
+func E20Observability(seed uint64, p Params) *Table {
+	fleetSizes := p.Sweep
+	if fleetSizes == nil {
+		fleetSizes = []int{1_000, 10_000}
+	}
 	t := &Table{
 		ID:    "E20",
 		Title: "Fleet observability plane: merged metrics and sampled traces (§7)",
@@ -70,12 +59,12 @@ func E20ObservabilityObserved(seed uint64, fleetSizes []int, workers int, observ
 	for _, n := range fleetSizes {
 		for _, m := range modes {
 			opts := m.opts
-			if observe != nil {
-				opts.Observer = observe(n, m.name)
+			if p.Observe != nil {
+				opts.Observer = p.Observe(n, m.name)
 			}
-			d := fleet.Driver{Cfg: cfg, N: n, Workers: workers}
-			flags, res, err := fleet.DriveObs(context.Background(), d, opts,
-				func(idx int, v *core.Vehicle) (int, error) {
+			d := fleet.Driver{Cfg: cfg, N: n, Workers: p.Workers}
+			flags, res, err := fleet.DriveObs(context.Background(), d, opts, fleet.Wave{Hi: n},
+				func(idx int, v *core.Vehicle, _ *obs.Registry) (int, error) {
 					return e20Vehicle(v, idx), nil
 				})
 			if err != nil {
@@ -113,6 +102,10 @@ func E20ObservabilityObserved(seed uint64, fleetSizes []int, workers int, observ
 	}
 	return t
 }
+
+// e20TraceRate samples ~2% of vehicles into the flight recorder; audit
+// incidents (the quarantine reflex firing) are always captured on top.
+const e20TraceRate = 0.02
 
 // e20Vehicle is one vehicle's 4ms scenario, shaped so the flight
 // recorder's "interesting" predicate has real positives: a chassis ECU

@@ -2,26 +2,12 @@ package experiments
 
 import "testing"
 
-// TestE20WorkerCountInvariance is the experiment-level half of the
-// observability par-invariance claim: the full E20 table — merged
-// metrics, trace selection, incident counts — must be byte-identical
-// whether the fleet runs on one worker or eight. (CI additionally diffs
-// the benchreport-generated table and the Prometheus exposition across
-// -fleetpar values.)
-func TestE20WorkerCountInvariance(t *testing.T) {
-	sizes := []int{300}
-	a := E20ObservabilityWith(3, sizes, 1).String()
-	b := E20ObservabilityWith(3, sizes, 8).String()
-	if a != b {
-		t.Fatalf("E20 table differs between 1 and 8 workers:\n--- par=1\n%s\n--- par=8\n%s", a, b)
-	}
-}
-
 // TestE20ModesShareDeterministicMetrics pins two structural properties:
 // enabling tracing must not perturb the merged metrics, and the off mode
 // must produce no observability artifacts at all.
 func TestE20ModesShareDeterministicMetrics(t *testing.T) {
-	tbl := E20ObservabilityWith(5, []int{250}, 0)
+	t.Parallel()
+	tbl := E20Observability(5, Params{Sweep: []int{250}})
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 modes", len(tbl.Rows))
 	}

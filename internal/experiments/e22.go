@@ -7,6 +7,13 @@ import (
 	"autosec/internal/campaign"
 )
 
+// e22 fleet shape: big enough that wave structure and skew populations
+// are visible, small enough to keep the full 12-campaign sweep cheap.
+const (
+	e22Fleet  = 2000
+	e22Models = 4
+)
+
 // E22 sweeps rollout strategy × mid-campaign attack over the fleet OTA
 // campaign engine: a 2000-vehicle, 4-model fleet updated in staged waves
 // while the distribution channel is honest, freezing, replaying stale
@@ -22,22 +29,15 @@ import (
 // completes under the new trust epoch. The cache columns pin the
 // verify-once-per-campaign economics: cold signature checks stay at
 // published-artifact scale while lookups run at fleet scale.
-func E22Campaign(seed uint64) *Table {
-	return E22CampaignWith(seed, 1)
-}
-
-// e22 fleet shape: big enough that wave structure and skew populations
-// are visible, small enough to keep the full 12-campaign sweep cheap.
-const (
-	e22Fleet  = 2000
-	e22Models = 4
-)
-
-// E22CampaignWith runs the sweep at the given fleet worker count.
-// Everything in the table is index-deterministic, so the rendered table
-// is byte-identical at any worker count — benchreport -fleetpar reruns
-// it in parallel and CI byte-diffs the output.
-func E22CampaignWith(seed uint64, workers int) *Table {
+//
+// p.Workers sets each wave's fleet worker count (0 = the serial
+// reference, 1 worker). Everything in the table is index-deterministic,
+// so the rendered table is byte-identical at any worker count.
+func E22Campaign(seed uint64, p Params) *Table {
+	workers := p.Workers
+	if workers == 0 {
+		workers = 1
+	}
 	t := &Table{
 		ID:    "E22",
 		Title: "Fleet OTA campaigns under attack: staged rollout × attack matrix (§6)",

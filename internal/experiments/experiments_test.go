@@ -28,7 +28,8 @@ func cellF(t *testing.T, tb *Table, row, col int) float64 {
 }
 
 func TestE1DoSShape(t *testing.T) {
-	tb := E1BusDoS(1)
+	t.Parallel()
+	tb := seed1(t, "E1")
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows=%d", len(tb.Rows))
 	}
@@ -53,7 +54,8 @@ func TestE1DoSShape(t *testing.T) {
 }
 
 func TestE2SideChannelShape(t *testing.T) {
-	tb := E2SideChannel(1)
+	t.Parallel()
+	tb := seed1(t, "E2")
 	// More noise -> more traces (rows 0..2 unmasked).
 	n0 := cellF(t, tb, 0, 3)
 	n1 := cellF(t, tb, 1, 3)
@@ -75,7 +77,8 @@ func TestE2SideChannelShape(t *testing.T) {
 }
 
 func TestE3FleetShape(t *testing.T) {
-	tb := E3FleetCompromise(1)
+	t.Parallel()
+	tb := seed1(t, "E3")
 	shared := cellF(t, tb, 0, 4)
 	perModel := cellF(t, tb, 1, 4)
 	perDevice := cellF(t, tb, 2, 4)
@@ -91,7 +94,8 @@ func TestE3FleetShape(t *testing.T) {
 }
 
 func TestE4PseudonymShape(t *testing.T) {
-	tb := E4Pseudonym(1)
+	t.Parallel()
+	tb := seed1(t, "E4")
 	// Row 0: no rotation, naive tracker -> near-full tracking.
 	if cellF(t, tb, 0, 2) < 0.9 {
 		t.Fatalf("no-rotation tracking too low\n%s", tb)
@@ -107,7 +111,8 @@ func TestE4PseudonymShape(t *testing.T) {
 }
 
 func TestE5TradeoffShape(t *testing.T) {
-	tb := E5Tradeoff(1)
+	t.Parallel()
+	tb := seed1(t, "E5")
 	// static-city overloads; static-highway is exposed; adaptive is clean.
 	if cellF(t, tb, 0, 1) == 0 {
 		t.Fatalf("static-city no overload\n%s", tb)
@@ -121,7 +126,8 @@ func TestE5TradeoffShape(t *testing.T) {
 }
 
 func TestE6VerificationShape(t *testing.T) {
-	tb := E6Verification(1)
+	t.Parallel()
+	tb := seed1(t, "E6")
 	last := len(tb.Rows) - 1
 	exhaustive := cellF(t, tb, last, 1)
 	pairwise := cellF(t, tb, last, 2)
@@ -137,7 +143,8 @@ func TestE6VerificationShape(t *testing.T) {
 }
 
 func TestE7AuthCANShape(t *testing.T) {
-	tb := E7AuthenticatedCAN(1)
+	t.Parallel()
+	tb := seed1(t, "E7")
 	// Rows alternate software/SHE per rate. At 2000fps (rows 6,7) software
 	// misses crypto deadlines, SHE does not.
 	swMiss := cellF(t, tb, 6, 4)
@@ -155,7 +162,8 @@ func TestE7AuthCANShape(t *testing.T) {
 }
 
 func TestE8GatewayShape(t *testing.T) {
-	tb := E8Gateway(1)
+	t.Parallel()
+	tb := seed1(t, "E8")
 	noGW := cellF(t, tb, 0, 1)
 	fine := cellF(t, tb, 2, 1)
 	if noGW < 1000 {
@@ -179,7 +187,8 @@ func TestE8GatewayShape(t *testing.T) {
 }
 
 func TestE9RelayShape(t *testing.T) {
-	tb := E9Relay(1)
+	t.Parallel()
+	tb := seed1(t, "E9")
 	find := func(scenario string, bounding string) []string {
 		for _, r := range tb.Rows {
 			if r[0] == scenario && r[1] == bounding {
@@ -204,7 +213,8 @@ func TestE9RelayShape(t *testing.T) {
 }
 
 func TestE10OTAShape(t *testing.T) {
-	tb := E10OTA(1)
+	t.Parallel()
+	tb := seed1(t, "E10")
 	for _, r := range tb.Rows {
 		name, uptane, naive := r[0], r[1], r[2]
 		if name == "legitimate update" {
@@ -232,7 +242,8 @@ func TestE10OTAShape(t *testing.T) {
 }
 
 func TestE11IDSShape(t *testing.T) {
-	tb := E11IDS(1)
+	t.Parallel()
+	tb := seed1(t, "E11")
 	get := func(attack, det string) (float64, float64) {
 		for _, r := range tb.Rows {
 			if r[0] == attack && r[1] == det {
@@ -280,7 +291,8 @@ func TestE11IDSShape(t *testing.T) {
 }
 
 func TestE12LifetimeShape(t *testing.T) {
-	tb := E12Lifetime(1)
+	t.Parallel()
+	tb := seed1(t, "E12")
 	extCurrent := cellF(t, tb, 0, 3)
 	fixCurrent := cellF(t, tb, 1, 3)
 	if extCurrent != 15 {

@@ -1,8 +1,9 @@
 // Package experiments implements the paper-reproduction harness: one
-// function per experiment E1–E12 from DESIGN.md, each returning a Table
-// whose rows quantify one qualitative claim of the paper. cmd/benchreport
-// prints every table; the root bench_test.go wraps each function in a
-// testing.B benchmark so `go test -bench` regenerates the full evaluation.
+// function per experiment E1–E22 and ablation A1–A2 from DESIGN.md, each
+// returning a Table whose rows quantify one qualitative claim of the
+// paper. Registry lists them all; cmd/benchreport prints every table and
+// the root bench_test.go runs one sub-benchmark per registered spec, so
+// `go test -bench` regenerates the full evaluation.
 package experiments
 
 import (
@@ -134,35 +135,4 @@ func (t *Table) String() string {
 		line(r)
 	}
 	return b.String()
-}
-
-// All runs every experiment at the given seed and returns the tables in
-// order. This is the one-call full reproduction.
-func All(seed uint64) []*Table {
-	return []*Table{
-		E1BusDoS(seed),
-		E2SideChannel(seed),
-		E3FleetCompromise(seed),
-		E4Pseudonym(seed),
-		E5Tradeoff(seed),
-		E6Verification(seed),
-		E7AuthenticatedCAN(seed),
-		E8Gateway(seed),
-		E9Relay(seed),
-		E10OTA(seed),
-		E11IDS(seed),
-		E12Lifetime(seed),
-		E13DiagnosticAccess(seed),
-		E14BusOff(seed),
-		E15VerifyScaling(seed),
-		E16CrossMediumGateway(seed),
-		E17Zonal(seed),
-		E18Fleet(seed),
-		E19KernelPar(seed),
-		E20Observability(seed),
-		E21MediumIDS(seed),
-		E22Campaign(seed),
-		A1MACTruncation(seed),
-		A2BoundingThreshold(seed),
-	}
 }

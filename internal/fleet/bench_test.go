@@ -45,7 +45,7 @@ func BenchmarkFleetVehiclesPerSecObs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	_, res, err := DriveObs(context.Background(), Driver{Cfg: cfg, N: b.N},
-		ObsOptions{Metrics: true}, driveScenario)
+		ObsOptions{Metrics: true}, Wave{Hi: b.N}, withReg(driveScenario))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"autosec/internal/core"
+	"autosec/internal/obs"
 )
 
 // Driver shards a vehicle population across workers, each worker running
@@ -80,10 +81,12 @@ func (a *driveAbort) err() error {
 // An error aborts the drive; the lowest-indexed error observed wins the
 // report. ctx cancellation surfaces as that context's error.
 //
-// Drive is the bare loop; DriveObs is the same loop with the fleet
-// observability plane (merged metrics, sampled traces, progress
-// telemetry) attached.
+// Drive is the bare loop over the whole population; DriveObs is the
+// same loop over one wave with the fleet observability plane (merged
+// metrics, sampled traces, progress telemetry) attached.
 func Drive[T any](ctx context.Context, d Driver, fn func(idx int, v *core.Vehicle) (T, error)) ([]T, error) {
-	results, _, err := DriveObs(ctx, d, ObsOptions{}, fn)
+	results, _, err := DriveObs(ctx, d, ObsOptions{}, Wave{Hi: d.N}, func(idx int, v *core.Vehicle, _ *obs.Registry) (T, error) {
+		return fn(idx, v)
+	})
 	return results, err
 }

@@ -1,10 +1,10 @@
-// Fleet observability plane: DriveObs is Drive with three attachments —
-// merged metrics (per-vehicle obs.Registry shards folded into one fleet
-// registry in vehicle-index order at the drive barrier, so the snapshot
-// is byte-identical at any worker count), a deterministic flight
-// recorder (per-vehicle traces kept for a seed-hash sample of the fleet
-// plus every vehicle with a security incident, under a hard memory
-// bound), and runtime telemetry (per-worker progress and wall-clock
+// Fleet observability plane: DriveObs is Drive over one wave with three
+// attachments — merged metrics (per-vehicle obs.Registry shards folded
+// into one fleet registry in vehicle-index order at the drive barrier,
+// so the snapshot is byte-identical at any worker count), a
+// deterministic flight recorder (per-vehicle traces kept for a seed-hash
+// sample of the fleet plus every vehicle with a security incident, under
+// a hard memory bound), and runtime telemetry (per-worker progress and wall-clock
 // throughput, strictly excluded from the deterministic artifacts).
 //
 // The determinism split is deliberate: everything reachable from
@@ -211,34 +211,34 @@ func selectTraces(all []VehicleTrace, max int) []VehicleTrace {
 	return sel
 }
 
-// DriveObs runs fn once per vehicle like Drive and additionally operates
-// the observability plane selected by o. The returned ObsResult is
-// non-nil even when o is zero (Stats is always populated).
+// DriveObs runs fn once per vehicle of the wave — pass Wave{Hi: d.N} for
+// the whole population — and operates the observability plane selected
+// by o. Results come back indexed by idx-w.Lo; sharding, pooling and the
+// error contract match Drive. The returned ObsResult is non-nil even
+// when o is zero (Stats is always populated), and its Registry holds
+// only this wave's vehicles: campaign code folds each wave's registry
+// into its own with Merge.
+//
+// Vehicle identity is a function of the absolute index: seeds, trace
+// sampling and metric fold order all key on idx, never on the wave, so
+// driving [0,N) in one call or as a sequence of waves visits
+// byte-identical vehicles. fn receives the vehicle's live metrics
+// registry (nil unless o.Metrics) so callers can count scenario-level
+// outcomes (installs, rejections, blast radius) as instruments that
+// merge at the barrier alongside the vehicle's own.
 //
 // Tracing requires a shared-kernel build: per-zone-kernel vehicles take
 // per-member tracers that cannot share one flight-recorder ring, so
 // TraceRate > 0 with Cfg.Zonal.PerZoneKernels is an error. Metrics work
 // on every build.
-func DriveObs[T any](ctx context.Context, d Driver, o ObsOptions, fn func(idx int, v *core.Vehicle) (T, error)) ([]T, *ObsResult, error) {
+func DriveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave, fn func(idx int, v *core.Vehicle, reg *obs.Registry) (T, error)) ([]T, *ObsResult, error) {
 	if d.N <= 0 {
 		return nil, nil, fmt.Errorf("fleet: population must be positive, got %d", d.N)
 	}
-	return driveRangeObs(ctx, d, o, 0, d.N, func(idx int, v *core.Vehicle, _ *obs.Registry) (T, error) {
-		return fn(idx, v)
-	})
-}
-
-// driveRangeObs is the sharded drive loop over the index range [lo, hi)
-// of d's population — the common core of DriveObs (full population) and
-// DriveWaveObs (one campaign wave). Vehicle identity is a function of
-// the absolute index: seeds, trace sampling and metric fold order all
-// key on idx, never on the range, so driving [0,N) in one call or as a
-// sequence of wave ranges visits byte-identical vehicles. fn receives
-// the vehicle's live metrics registry (nil unless o.Metrics) so range
-// callers can register scenario-level instruments that merge at the
-// barrier alongside the vehicle's own.
-func driveRangeObs[T any](ctx context.Context, d Driver, o ObsOptions, lo, hi int, fn func(idx int, v *core.Vehicle, reg *obs.Registry) (T, error)) ([]T, *ObsResult, error) {
-	n := hi - lo
+	if wave.Lo < 0 || wave.Hi > d.N || wave.Lo >= wave.Hi {
+		return nil, nil, fmt.Errorf("fleet: wave %v out of range for population %d", wave, d.N)
+	}
+	lo, n := wave.Lo, wave.Size()
 	tracing := o.TraceRate > 0
 	if tracing && d.Cfg.Zonal != nil && d.Cfg.Zonal.PerZoneKernels {
 		return nil, nil, fmt.Errorf("fleet: flight recorder requires a shared-kernel build (Zonal.PerZoneKernels is set)")

@@ -24,6 +24,11 @@ func obsTestConfig(vin string, seed uint64) core.Config {
 	}}
 }
 
+// withReg adapts a registry-less scenario to DriveObs's fn signature.
+func withReg[T any](fn func(int, *core.Vehicle) (T, error)) func(int, *core.Vehicle, *obs.Registry) (T, error) {
+	return func(idx int, v *core.Vehicle, _ *obs.Registry) (T, error) { return fn(idx, v) }
+}
+
 // obsScenario is driveScenario's quieter sibling for flight-recorder
 // tests: its traffic (chassis → infotainment) avoids the IDS tap on
 // powertrain, so the untrained detectors stay silent, and every 7th
@@ -74,7 +79,7 @@ func TestDriveObsParInvariance(t *testing.T) {
 	opts := ObsOptions{Metrics: true, TraceRate: 0.25, TraceCapacity: 512, MaxTraces: 8}
 	run := func(workers int) *ObsResult {
 		_, res, err := DriveObs(context.Background(),
-			Driver{Cfg: obsTestConfig("OBS-PAR", 11), N: n, Workers: workers}, opts, obsScenario)
+			Driver{Cfg: obsTestConfig("OBS-PAR", 11), N: n, Workers: workers}, opts, Wave{Hi: n}, withReg(obsScenario))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -133,7 +138,7 @@ func TestDriveObsMergedEqualsUnsharded(t *testing.T) {
 	const n = 24
 	cfg := obsTestConfig("OBS-FOLD", 7)
 	_, res, err := DriveObs(context.Background(),
-		Driver{Cfg: cfg, N: n, Workers: 4}, ObsOptions{Metrics: true}, obsScenario)
+		Driver{Cfg: cfg, N: n, Workers: 4}, ObsOptions{Metrics: true}, Wave{Hi: n}, withReg(obsScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +181,7 @@ func TestDriveObsInterestingAlwaysKept(t *testing.T) {
 	const n = 42
 	_, res, err := DriveObs(context.Background(),
 		Driver{Cfg: obsTestConfig("OBS-INT", 3), N: n, Workers: 4},
-		ObsOptions{TraceRate: 1e-12, TraceCapacity: 256}, obsScenario)
+		ObsOptions{TraceRate: 1e-12, TraceCapacity: 256}, Wave{Hi: n}, withReg(obsScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +214,7 @@ func TestDriveObsMaxTracesPriority(t *testing.T) {
 	run := func(workers int) *ObsResult {
 		_, res, err := DriveObs(context.Background(),
 			Driver{Cfg: obsTestConfig("OBS-MAX", 5), N: n, Workers: workers},
-			ObsOptions{TraceRate: 1, TraceCapacity: 256, MaxTraces: max}, obsScenario)
+			ObsOptions{TraceRate: 1, TraceCapacity: 256, MaxTraces: max}, Wave{Hi: n}, withReg(obsScenario))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +338,7 @@ func TestDriveObsObserverAndStats(t *testing.T) {
 	obsv := &countingObserver{}
 	_, res, err := DriveObs(context.Background(),
 		Driver{Cfg: core.Config{VIN: "OBS-STAT", Seed: 2}, N: n, Workers: workers},
-		ObsOptions{Metrics: true, Observer: obsv}, obsScenario)
+		ObsOptions{Metrics: true, Observer: obsv}, Wave{Hi: n}, withReg(obsScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +368,8 @@ func TestDriveObsAbortUnderLoad(t *testing.T) {
 	boom := errors.New("boom")
 	_, _, err := DriveObs(context.Background(),
 		Driver{Cfg: core.Config{VIN: "OBS-ABORT", Seed: 4}, N: 64, Workers: 8},
-		ObsOptions{Metrics: true, TraceRate: 0.5, TraceCapacity: 128},
-		func(idx int, v *core.Vehicle) (string, error) {
+		ObsOptions{Metrics: true, TraceRate: 0.5, TraceCapacity: 128}, Wave{Hi: 64},
+		func(idx int, v *core.Vehicle, _ *obs.Registry) (string, error) {
 			if idx >= 24 {
 				return "", boom
 			}
@@ -378,15 +383,15 @@ func TestDriveObsAbortUnderLoad(t *testing.T) {
 func TestDriveObsRejectsTracingOnPerZoneKernels(t *testing.T) {
 	cfg := core.Config{VIN: "OBS-PZK", Seed: 6, Zonal: &core.ZonalConfig{Zones: 2, PerZoneKernels: true}}
 	_, _, err := DriveObs(context.Background(), Driver{Cfg: cfg, N: 4, Workers: 1},
-		ObsOptions{TraceRate: 0.5},
-		func(idx int, v *core.Vehicle) (int, error) { return idx, nil })
+		ObsOptions{TraceRate: 0.5}, Wave{Hi: 4},
+		func(idx int, v *core.Vehicle, _ *obs.Registry) (int, error) { return idx, nil })
 	if err == nil || !strings.Contains(err.Error(), "PerZoneKernels") {
 		t.Fatalf("tracing on a per-zone-kernel build must be rejected, got %v", err)
 	}
 	// Metrics-only must work on the same build.
 	_, res, err := DriveObs(context.Background(), Driver{Cfg: cfg, N: 4, Workers: 2},
-		ObsOptions{Metrics: true},
-		func(idx int, v *core.Vehicle) (int, error) {
+		ObsOptions{Metrics: true}, Wave{Hi: 4},
+		func(idx int, v *core.Vehicle, _ *obs.Registry) (int, error) {
 			return idx, v.Kernel.RunUntil(1_000_000)
 		})
 	if err != nil {
@@ -402,7 +407,7 @@ func TestProgressWriter(t *testing.T) {
 	pw := NewProgressWriter(&buf, 20)
 	_, res, err := DriveObs(context.Background(),
 		Driver{Cfg: core.Config{VIN: "OBS-PW", Seed: 8}, N: 20, Workers: 2},
-		ObsOptions{Observer: pw}, obsScenario)
+		ObsOptions{Observer: pw}, Wave{Hi: 20}, withReg(obsScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +425,7 @@ func TestWriteChromeTraces(t *testing.T) {
 	dir := t.TempDir()
 	_, res, err := DriveObs(context.Background(),
 		Driver{Cfg: obsTestConfig("OBS-DIR", 9), N: 14, Workers: 2},
-		ObsOptions{TraceRate: 1e-12, TraceCapacity: 128}, obsScenario)
+		ObsOptions{TraceRate: 1e-12, TraceCapacity: 128}, Wave{Hi: 14}, withReg(obsScenario))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,6 @@
 package fleet
 
-import (
-	"context"
-	"fmt"
-
-	"autosec/internal/core"
-	"autosec/internal/obs"
-)
+import "fmt"
 
 // Wave is one contiguous index range [Lo, Hi) of a campaign's staged
 // rollout. Waves partition the population in index order (canary first,
@@ -51,33 +45,4 @@ func StageWaves(n, canary, factor int) []Wave {
 		size *= factor
 	}
 	return waves
-}
-
-// DriveWave runs fn over one wave of d's population and returns the
-// wave's results indexed by idx-w.Lo. Sharding, pooling and the error
-// contract match Drive; vehicle seeds come from the absolute index, so
-// the same vehicle behaves identically whatever wave plan contains it.
-func DriveWave[T any](ctx context.Context, d Driver, w Wave, fn func(idx int, v *core.Vehicle) (T, error)) ([]T, error) {
-	results, _, err := DriveWaveObs(ctx, d, ObsOptions{}, w, func(idx int, v *core.Vehicle, _ *obs.Registry) (T, error) {
-		return fn(idx, v)
-	})
-	return results, err
-}
-
-// DriveWaveObs runs fn over one wave with the observability plane
-// attached, merging that wave's per-vehicle registries at the wave
-// barrier. Unlike DriveObs, fn receives each vehicle's live registry
-// (nil unless o.Metrics) so campaign code can count scenario-level
-// outcomes (installs, rejections, blast radius) as mergeable instruments
-// folded in vehicle-index order — the per-wave deterministic merge.
-// Wave-level aggregation across waves is the caller's job (fold each
-// wave's Registry into a campaign registry with Merge).
-func DriveWaveObs[T any](ctx context.Context, d Driver, o ObsOptions, w Wave, fn func(idx int, v *core.Vehicle, reg *obs.Registry) (T, error)) ([]T, *ObsResult, error) {
-	if d.N <= 0 {
-		return nil, nil, fmt.Errorf("fleet: population must be positive, got %d", d.N)
-	}
-	if w.Lo < 0 || w.Hi > d.N || w.Lo >= w.Hi {
-		return nil, nil, fmt.Errorf("fleet: wave %v out of range for population %d", w, d.N)
-	}
-	return driveRangeObs(ctx, d, o, w.Lo, w.Hi, fn)
 }

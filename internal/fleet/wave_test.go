@@ -39,7 +39,7 @@ func TestStageWaves(t *testing.T) {
 func TestDriveWaveRangeValidation(t *testing.T) {
 	d := Driver{Cfg: core.Config{VIN: "WAVE-V", Seed: 3}, N: 10, Workers: 2}
 	for _, w := range []Wave{{-1, 5}, {5, 11}, {5, 5}, {7, 3}} {
-		if _, err := DriveWave(context.Background(), d, w, func(idx int, v *core.Vehicle) (int, error) {
+		if _, _, err := DriveObs(context.Background(), d, ObsOptions{}, w, func(idx int, v *core.Vehicle, _ *obs.Registry) (int, error) {
 			return idx, nil
 		}); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Fatalf("wave %v: err=%v", w, err)
@@ -63,7 +63,7 @@ func TestDriveWaveEquivalence(t *testing.T) {
 		dw.Workers = workers
 		var waved []string
 		for _, w := range StageWaves(n, 5, 3) {
-			part, err := DriveWave(context.Background(), dw, w, driveScenario)
+			part, _, err := DriveObs(context.Background(), dw, ObsOptions{}, w, withReg(driveScenario))
 			if err != nil {
 				t.Fatalf("workers=%d wave %v: %v", workers, w, err)
 			}
@@ -86,7 +86,7 @@ func TestDriveWaveObsRegistryParInvariance(t *testing.T) {
 	run := func(workers int) string {
 		dw := d
 		dw.Workers = workers
-		_, res, err := DriveWaveObs(context.Background(), dw, ObsOptions{Metrics: true}, w,
+		_, res, err := DriveObs(context.Background(), dw, ObsOptions{Metrics: true}, w,
 			func(idx int, v *core.Vehicle, reg *obs.Registry) (struct{}, error) {
 				if reg == nil {
 					t.Fatal("fn must receive the live registry when Metrics is on")

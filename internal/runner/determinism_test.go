@@ -8,24 +8,24 @@ import (
 	"autosec/internal/experiments"
 )
 
-// The tentpole guarantee: sharding the real experiment suite across a
+// The runner's own guarantee: sharding a suite's replicates across a
 // parallel pool changes nothing. Every per-seed table is bit-for-bit the
 // table a serial run of that seed produces, and the aggregated tables are
-// byte-identical between -par 1 and -par N.
+// byte-identical between -par 1 and -par N. The suite is two cheap
+// stochastic experiments — that each registered experiment is
+// deterministic per seed is internal/experiments' TestRegistry.
 func TestParallelReplicationDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite replication in -short mode")
+	suite := func(seed uint64) []*experiments.Table {
+		return []*experiments.Table{experiments.E1BusDoS(seed), experiments.E14BusOff(seed)}
 	}
-	// Two seeds keep this affordable under -race: E15 alone is ~6s of
-	// virtual verification workload per suite run.
-	seeds := Seeds(1, 2)
+	seeds := Seeds(1, 4)
 	par := runtime.GOMAXPROCS(0)
 
-	serialPerSeed, err := Replicate(context.Background(), experiments.All, seeds, 1)
+	serialPerSeed, err := Replicate(context.Background(), suite, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parPerSeed, err := Replicate(context.Background(), experiments.All, seeds, par)
+	parPerSeed, err := Replicate(context.Background(), suite, seeds, par)
 	if err != nil {
 		t.Fatal(err)
 	}
