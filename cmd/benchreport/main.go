@@ -20,9 +20,8 @@
 // machine-readable report: wall-clock nanoseconds and a SHA-256 hash of
 // the rendered table for every experiment, plus a runtime/metrics
 // snapshot (live heap bytes, cumulative allocation, GC cycles) taken
-// after the run, so perf PRs can pin speed, byte-identity and the memory
-// trajectory of the suite in one artifact (see BENCH_PR2.json at the
-// repo root for the committed trajectory).
+// after the run. The BENCH_PRn.json files at the repo root hold such
+// reports as history; nothing reads them.
 //
 // Observability: -trace FILE installs a process-default trace sink
 // (sim.SetDefaultTraceSink) before any experiment builds its kernel, so
@@ -39,19 +38,16 @@
 //	go run ./cmd/benchreport -only E1 -cpuprofile cpu.pprof
 //	go tool pprof -top cpu.pprof
 //
-// -compare BASELINE.json is the perf regression gate: it re-runs every
-// experiment pinned in a committed BENCH_PRn.json in its golden
-// configuration (so it rejects -sweep and -workers), requires
-// byte-identical table hashes, fails macro experiments (>= 1s baseline)
-// that slowed by more than 15%, re-measures the fleet drive/merge
-// microbenchmark probes (allocation increases are a hard failure), and
-// enforces the < 10% metrics-plane overhead gate on the fleet drive.
+// benchreport gates nothing: TestRegistry's goldens pin the tables, gate
+// tests next to the benchmarks (TestFleetDriveBenchmarkGates,
+// TestCampaignVerifyBenchmarkGates) pin allocation ceilings and speed
+// ratios, and the BENCHMARK.json workloads judge timing.
 //
 // Usage:
 //
 //	benchreport [-seed N] [-seeds N] [-par N] [-only E3,E8] [-json FILE]
-//	            [-workers N] [-sweep LIST] [-progress] [-compare FILE]
-//	            [-trace FILE] [-metrics] [-cpuprofile FILE] [-memprofile FILE]
+//	            [-workers N] [-sweep LIST] [-progress] [-trace FILE]
+//	            [-metrics] [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -102,7 +98,6 @@ type options struct {
 	sweep       []int
 	sweepID     string // the one selected spec -sweep applies to
 	progress    bool
-	compare     string
 	jsonOut     string
 	traceFile   string
 	showMetrics bool
@@ -123,7 +118,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "kernel or fleet worker count for every selected experiment with a workers axis (0 = each experiment's default; any value prints identical tables)")
 	sweep := fs.String("sweep", "", "comma-separated sweep list for the one selected experiment with a sweep axis (E17/E19 zone counts, E18/E20 fleet sizes); empty uses the golden default")
 	fs.BoolVar(&o.progress, "progress", false, "stream fleet drive progress and throughput to stderr (wall-clock telemetry; never in the tables)")
-	fs.StringVar(&o.compare, "compare", "", "regression-gate the working tree against this committed BENCH_PRn.json baseline and exit")
 	fs.StringVar(&o.jsonOut, "json", "", "write per-experiment ns + table hashes as JSON to this file ('-' for stdout); single-seed mode only")
 	fs.StringVar(&o.traceFile, "trace", "", "write a Chrome trace_event JSON of every kernel's dispatch activity to this file; single-seed mode only")
 	fs.BoolVar(&o.showMetrics, "metrics", false, "print a runtime/metrics snapshot (heap, allocs, GC) after the run")
@@ -141,25 +135,21 @@ func parseFlags(args []string) (*options, error) {
 	if o.workers < 0 {
 		return nil, fmt.Errorf("-workers must be >= 0")
 	}
-	if o.nseeds > 1 {
-		switch {
-		case o.jsonOut != "":
-			return nil, fmt.Errorf("-json requires single-seed mode (drop -seeds)")
-		case o.traceFile != "":
-			return nil, fmt.Errorf("-trace requires single-seed mode (replicates interleave nondeterministically)")
-		case o.compare != "":
-			return nil, fmt.Errorf("-compare requires single-seed mode (drop -seeds)")
-		}
+	if o.nseeds > 1 && o.jsonOut != "" {
+		return nil, fmt.Errorf("-json requires single-seed mode (drop -seeds)")
 	}
-	if o.compare != "" && (*sweep != "" || o.workers != 0) {
-		// The gate hashes each experiment's golden configuration.
-		return nil, fmt.Errorf("-compare always runs the golden configuration; drop -sweep and -workers")
+	if o.nseeds > 1 && o.traceFile != "" {
+		return nil, fmt.Errorf("-trace requires single-seed mode (replicates interleave nondeterministically)")
 	}
 
 	want := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if _, ok := experiments.Lookup(id); !ok {
+				return nil, fmt.Errorf("-only: unknown experiment %q", id)
+			}
+			want[id] = true
 		}
 	}
 	var sweepIDs []string
@@ -171,9 +161,6 @@ func parseFlags(args []string) (*options, error) {
 		if s.Axes&experiments.AxisSweep != 0 {
 			sweepIDs = append(sweepIDs, s.ID)
 		}
-	}
-	if len(o.specs) == 0 {
-		return nil, fmt.Errorf("no experiments matched -only=%q", *only)
 	}
 	if *sweep != "" {
 		if len(sweepIDs) != 1 {
@@ -252,10 +239,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 			}
 		}()
-	}
-
-	if o.compare != "" {
-		os.Exit(runCompare(o.compare, o.seed))
 	}
 
 	if o.nseeds <= 1 {

@@ -11,17 +11,15 @@ func TestParseFlagsRejects(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-compare", "BENCH_PR10.json", "-sweep", "500"}, "-compare always runs the golden configuration"},
-		{[]string{"-compare", "BENCH_PR10.json", "-only", "E18", "-sweep", "500"}, "-compare always runs the golden configuration"},
-		{[]string{"-compare", "BENCH_PR10.json", "-workers", "8"}, "-compare always runs the golden configuration"},
-		{[]string{"-compare", "BENCH_PR10.json", "-seeds", "2"}, "-compare requires single-seed mode"},
 		{[]string{"-sweep", "500"}, "-sweep needs exactly one selected experiment"},
 		{[]string{"-only", "E17,E18", "-sweep", "4"}, "-sweep needs exactly one selected experiment"},
 		{[]string{"-only", "E1", "-sweep", "4"}, "-sweep needs exactly one selected experiment"},
 		{[]string{"-only", "E18", "-sweep", "500,x"}, `-sweep: "x" is not a positive integer`},
 		{[]string{"-only", "E18", "-sweep", "0"}, `-sweep: "0" is not a positive integer`},
 		{[]string{"-workers", "-1"}, "-workers must be >= 0"},
-		{[]string{"-only", "E99"}, "no experiments matched"},
+		{[]string{"-only", "E99"}, `-only: unknown experiment "E99"`},
+		{[]string{"-only", "E18,E99"}, `-only: unknown experiment "E99"`},
+		{[]string{"-only", "E1,"}, `-only: unknown experiment ""`},
 		{[]string{"-seeds", "2", "-json", "-"}, "-json requires single-seed mode"},
 		{[]string{"-seeds", "2", "-trace", "t.json"}, "-trace requires single-seed mode"},
 		{[]string{"-only", "E1", "extra"}, "unexpected arguments"},

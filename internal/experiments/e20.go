@@ -22,8 +22,8 @@ import (
 // audit verdicts — so the table is byte-identical at any worker count
 // (CI diffs benchreport -workers 1 against -workers 8). Wall-clock
 // overhead is deliberately absent: it is machine-dependent and lives in
-// BenchmarkFleetVehiclesPerSec / BenchmarkFleetVehiclesPerSecObs and the
-// benchreport -compare gate instead.
+// BenchmarkFleetVehiclesPerSec / BenchmarkFleetVehiclesPerSecObs, gated
+// by internal/fleet's TestFleetDriveBenchmarkGates, instead.
 //
 // p.Sweep replaces the fleet sizes and p.Workers the fleet driver's
 // worker count (0 = GOMAXPROCS); the golden table uses {1e3, 1e4} at

@@ -34,9 +34,9 @@ func BenchmarkFleetVehiclesPerSec(b *testing.B) {
 // BenchmarkFleetVehiclesPerSecObs is BenchmarkFleetVehiclesPerSec with
 // the metrics plane enabled: per-vehicle registries, probe
 // materialization and the index-order fleet merge. The acceptance gate
-// (checked by cmd/benchreport -compare) is <10% overhead against the
-// disabled benchmark above, which itself must not move — disabled means
-// nil instruments and one branch per hot-path site.
+// (TestFleetDriveBenchmarkGates) is <10% overhead against the disabled
+// benchmark above, which itself must not move — disabled means nil
+// instruments and one branch per hot-path site.
 func BenchmarkFleetVehiclesPerSecObs(b *testing.B) {
 	cfg := core.Config{VIN: "BENCH-FLEET", Seed: 1, Zonal: &core.ZonalConfig{
 		Zones:        2,
