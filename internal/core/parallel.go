@@ -26,10 +26,9 @@ import (
 )
 
 // backboneHopLatency is the fixed store-and-forward processing latency of
-// the zonal backbone switch. Shared-kernel builds give it to the modelled
-// ethernet.Switch; per-zone-kernel builds give it to the partitioned
-// backbone, whose minimum crossing time (ethernet.TunnelLookahead) then
-// bounds the kernel group's lookahead.
+// the zonal backbone switch that both zonal flavors model. On
+// per-zone-kernel builds its minimum crossing time
+// (ethernet.TunnelLookahead) also bounds the kernel group's lookahead.
 const backboneHopLatency = 2 * sim.Microsecond
 
 // standardDomainZone returns the zone index a standard domain shards

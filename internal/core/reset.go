@@ -38,9 +38,6 @@ func (v *Vehicle) markBaselines(cfg Config) {
 			v.FlexRayClusters[name].MarkBaseline()
 		}
 	}
-	if v.BackboneSwitch != nil {
-		v.BackboneSwitch.MarkBaseline()
-	}
 	if v.Zonal != nil {
 		v.Zonal.MarkBaseline()
 	} else {
@@ -134,9 +131,6 @@ func (v *Vehicle) Reset(seed uint64) {
 		case v.FlexRayClusters[name] != nil:
 			v.FlexRayClusters[name].ResetToBaseline()
 		}
-	}
-	if v.BackboneSwitch != nil {
-		v.BackboneSwitch.ResetToBaseline()
 	}
 
 	// Gateway layer (zonal fabric resets its per-zone gateways itself).

@@ -93,8 +93,9 @@ type ZonalConfig struct {
 	// Vehicle.Kernel is zone 0's member kernel, and each domain's events
 	// live on its owning zone's kernel — schedule through
 	// Vehicle.KernelFor. Execution is byte-deterministic at any
-	// Vehicle.SetParallelism setting, but is a distinct timeline from the
-	// shared-kernel zonal build (per-zone kernels draw per-member seeds).
+	// Vehicle.SetParallelism setting. Both zonal builds run the same
+	// backbone model, but this is a distinct timeline from the
+	// shared-kernel build (per-zone kernels draw per-member seeds).
 	PerZoneKernels bool
 }
 
@@ -121,17 +122,16 @@ type Vehicle struct {
 	FlexRayClusters map[string]*flexray.Cluster
 	// Gateway is the central gateway; nil when the vehicle is zonal.
 	Gateway *gateway.Gateway
-	// Zonal is the zone-controller fabric; nil on central builds.
-	Zonal *zonal.Fabric
-	// BackboneSwitch is the inter-zone Ethernet backbone (zonal builds).
-	BackboneSwitch *ethernet.Switch
-	IDS            *ids.Engine
-	SHE            *she.Engine
-	CPU            *ecu.CPU
-	Keyless        *keyless.Car
-	Policy         *policy.Engine
-	OTA            *ota.Client
-	Fusion         *sensors.Fusion
+	// Zonal is the zone-controller fabric, which models its own
+	// inter-zone Ethernet backbone; nil on central builds.
+	Zonal   *zonal.Fabric
+	IDS     *ids.Engine
+	SHE     *she.Engine
+	CPU     *ecu.CPU
+	Keyless *keyless.Car
+	Policy  *policy.Engine
+	OTA     *ota.Client
+	Fusion  *sensors.Fusion
 	// Audit is the tamper-evident security event log, sealed by the SHE.
 	// Gateway denials/quarantines and IDS alerts are recorded
 	// automatically; subsystems may Append their own events.
@@ -389,10 +389,10 @@ func auditID(f *netif.Frame) string {
 	return fmt.Sprintf("%0*X", idw, f.ID)[:3]
 }
 
-// buildZonal constructs the zonal topology: an Ethernet backbone switch,
-// cfg.Zonal.Zones zone controllers ("z0".."z<n-1>"), the standard domains
-// sharded across them, ExtraDomains in zone 0, and per-zone local domains
-// from cfg.Zonal.LocalDomains. Everything attaches in a fixed order so
+// buildZonal constructs the zonal topology: the fabric and its modelled
+// Ethernet backbone, cfg.Zonal.Zones zone controllers ("z0".."z<n-1>"),
+// the standard domains sharded across them, ExtraDomains in zone 0, and
+// per-zone local domains from cfg.Zonal.LocalDomains. Everything attaches in a fixed order so
 // the build is seed-deterministic.
 func (v *Vehicle) buildZonal(cfg Config) error {
 	n := cfg.Zonal.Zones
@@ -400,12 +400,10 @@ func (v *Vehicle) buildZonal(cfg Config) error {
 		return fmt.Errorf("core: zonal build needs >= 2 zones, got %d", n)
 	}
 	if v.Group != nil {
-		// Per-zone kernels: the backbone is the kernel boundary, modelled
-		// with the same hop latency and link speed as the shared switch.
+		// Per-zone kernels: the backbone is the kernel boundary.
 		v.Zonal = zonal.NewPartitioned(v.Group, backboneHopLatency, ethernet.DefaultLinkBps)
 	} else {
-		v.BackboneSwitch = ethernet.NewSwitch(v.Kernel, cfg.VIN+"-zonal-backbone", backboneHopLatency)
-		v.Zonal = zonal.New(v.Kernel, ethernet.Netif(v.BackboneSwitch, 1))
+		v.Zonal = zonal.New(v.Kernel, backboneHopLatency, ethernet.DefaultLinkBps)
 	}
 	zones := make([]*zonal.Zone, n)
 	for i := range zones {
@@ -660,15 +658,12 @@ func (v *Vehicle) TrainIDS(trace *netif.Trace) { v.IDS.Train(trace) }
 // backbone uplink.
 func (v *Vehicle) ArmAutoQuarantine(sourceDomain string) {
 	v.IDS.OnAlert(func(a ids.Alert) {
-		if v.Group != nil {
-			// The alert fires on member 0's kernel (the IDS's home zone);
-			// isolating another zone crosses the kernel boundary as an
-			// asynchronous containment message.
-			_ = v.Zonal.RequestZoneQuarantine(DomainPowertrain, sourceDomain)
-			return
-		}
 		if v.Zonal != nil {
-			_ = v.Zonal.QuarantineZoneOf(sourceDomain)
+			// The alert fires in the powertrain's zone (the IDS's home). On
+			// per-zone kernels, isolating another zone crosses the kernel
+			// boundary as an asynchronous containment message; on a shared
+			// kernel it applies at once.
+			_ = v.Zonal.RequestZoneQuarantine(DomainPowertrain, sourceDomain)
 			return
 		}
 		_ = v.Gateway.Quarantine(sourceDomain)

@@ -79,8 +79,7 @@ func E17Zonal(seed uint64, p Params) *Table {
 			// the first zone, chassis in the middle, infotainment in the
 			// last, so the attacker's zone never shares a controller with
 			// the flows it threatens.
-			sw := ethernet.NewSwitch(k, "backbone", 2*sim.Microsecond)
-			f := zonal.New(k, ethernet.Netif(sw, 1))
+			f := zonal.New(k, 2*sim.Microsecond, ethernet.DefaultLinkBps)
 			zs := make([]*zonal.Zone, tp.zones)
 			for i := range zs {
 				zs[i], _ = f.AddZone(fmt.Sprintf("z%d", i))
@@ -94,8 +93,8 @@ func E17Zonal(seed uint64, p Params) *Table {
 				z, _ := f.ZoneOf("infotainment")
 				return f.ZoneQuarantined(z.Name)
 			}
-			backboneFrames = func() int64 { return f.BackboneFrames.Value }
-			backboneDeliveries = func() int64 { return f.BackboneDeliveries.Value }
+			backboneFrames = f.BackboneFramesTotal
+			backboneDeliveries = f.BackboneDeliveriesTotal
 		}
 
 		// Background load: the powertrain matrix on its own bus, the body

@@ -203,7 +203,7 @@ func e18Vehicle(v *core.Vehicle, compromised bool) *Table {
 
 	backbone := int64(0)
 	if v.Zonal != nil {
-		backbone = v.Zonal.BackboneFrames.Value
+		backbone = v.Zonal.BackboneFramesTotal()
 	}
 	quarantined := 0
 	if isolated > 0 {

@@ -49,7 +49,7 @@ func driveScenario(idx int, v *core.Vehicle) (string, error) {
 	}
 	backbone := int64(0)
 	if v.Zonal != nil {
-		backbone = v.Zonal.BackboneFrames.Value
+		backbone = v.Zonal.BackboneFramesTotal()
 	}
 	return fmt.Sprintf("idx=%d steps=%d audit=%d backbone=%d",
 		idx, k.Steps(), v.Audit.Len(), backbone), nil

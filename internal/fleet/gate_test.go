@@ -19,7 +19,7 @@ const obsOverheadBudget = 1.10
 // driveAllocsCeiling is the per-vehicle allocation count of the fleet
 // drive benchmarks with and without the metrics plane. Any increase is a
 // regression.
-const driveAllocsCeiling = 166
+const driveAllocsCeiling = 120
 
 // TestFleetDriveBenchmarkGates holds BenchmarkFleetVehiclesPerSec and
 // BenchmarkFleetVehiclesPerSecObs to their allocation ceiling and the

@@ -1,41 +1,46 @@
-// Partitioned zonal fabrics: one sim.Kernel per zone, synchronized by a
-// conservative sim.KernelGroup, with the Ethernet backbone as the kernel
-// boundary. Each zone's gateway, local media and workloads live entirely
-// on that zone's kernel; the only cross-kernel interaction is a backbone
-// crossing, which the partitioned backbone models as a timestamped
-// inter-kernel message arriving ingress-serialization + switch-hop +
-// egress-serialization after the send — the exact per-frame timing of
-// the shared ethernet.Switch backbone, so a partitioned fabric delivers
-// every frame at the same virtual instant a shared one would.
+// The zonal backbone, and partitioned fabrics that run one sim.Kernel
+// per zone.
 //
-// Because no frame can cross faster than the minimum-size crossing,
-// ethernet.TunnelLookahead(hop, linkBps) bounds every message distance
-// and serves as the group's lookahead: zones dispatch whole windows of
-// intra-zone events in parallel without ever seeing a cross-zone frame
-// arrive in their past.
+// Every fabric models its backbone as a store-and-forward switch: a
+// frame sent by one zone floods to every other zone, arriving
+// ingress-serialization + switch-hop + egress-serialization after the
+// send (ethernet.WireDuration timing, the same arithmetic as the
+// ethernet.Switch model). A shared-kernel fabric schedules each arrival
+// on its one kernel; a partitioned fabric sends it through a
+// conservative sim.KernelGroup, with the backbone as the kernel
+// boundary. That last call is the only difference between the flavors,
+// so both deliver every frame at the same virtual instant.
 //
-// The message path is allocation-free in steady state: frame payloads
-// copy into pooled message nodes (netif.Frame.CopyInto reuses each
-// node's buffer), delivery callbacks are prebound once per node, and the
-// per-port node pools are mutex-guarded because a node is minted by the
-// sending zone's goroutine and recycled by the receiving zone's.
+// On a partitioned fabric each zone's gateway, local media and workloads
+// live entirely on that zone's kernel, and the only cross-kernel
+// interaction is a backbone crossing. Because no frame can cross faster
+// than the minimum-size crossing, ethernet.TunnelLookahead(hop, linkBps)
+// bounds every message distance and serves as the group's lookahead:
+// zones dispatch whole windows of intra-zone events in parallel without
+// ever seeing a cross-zone frame arrive in their past.
+//
+// The crossing is allocation-free in steady state: frame payloads copy
+// into pooled message nodes (netif.Frame.CopyInto reuses each node's
+// buffer), delivery callbacks are prebound once per node, and the
+// per-port node pools are mutex-guarded because on a partitioned fabric
+// a node is minted by the sending zone's goroutine and recycled by the
+// receiving zone's.
 package zonal
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"autosec/internal/ethernet"
 	"autosec/internal/netif"
-	"autosec/internal/obs"
 	"autosec/internal/sim"
 )
 
 // NewPartitioned creates a fabric whose zones run on per-zone kernels of
 // g: zone i's gateway binds to g.Kernel(i), and the backbone becomes the
 // kernel boundary. hop and linkBps parameterize the modelled backbone
-// switch (use 2*sim.Microsecond and ethernet.DefaultLinkBps to match the
-// shared-backbone build). g's lookahead must not exceed the minimum
+// switch, as for New. g's lookahead must not exceed the minimum
 // backbone crossing time, or windows could outrun in-flight frames.
 func NewPartitioned(g *sim.KernelGroup, hop sim.Duration, linkBps int64) *Fabric {
 	if min := ethernet.TunnelLookahead(hop, linkBps); g.Lookahead() > min {
@@ -50,35 +55,21 @@ func NewPartitioned(g *sim.KernelGroup, hop sim.Duration, linkBps int64) *Fabric
 	}
 }
 
-// Partitioned reports whether the fabric runs one kernel per zone.
-func (f *Fabric) Partitioned() bool { return f.group != nil }
-
-// Group returns the kernel group of a partitioned fabric (nil otherwise).
-func (f *Fabric) Group() *sim.KernelGroup { return f.group }
-
 // Kernel returns the kernel the zone runs on: its member kernel in a
 // partitioned fabric, the shared fabric kernel otherwise. Local media
 // attached to the zone must be built on this kernel.
 func (z *Zone) Kernel() *sim.Kernel { return z.k }
 
-// Member returns the zone's kernel-group member index (0 in shared-kernel
-// fabrics).
+// Member returns the zone's index in creation order, which on a
+// partitioned fabric is its kernel-group member.
 func (z *Zone) Member() int { return z.member }
 
-// BackboneDeliveriesCount reports backbone-ingress frames this zone
-// accepted and delivered locally. On partitioned fabrics, read only
-// between runs.
-func (z *Zone) BackboneDeliveriesCount() int64 { return z.bbDeliveries.Value }
-
-// BackboneFramesTotal reports every frame the backbone carried: the
-// shared-medium counter, or the sum of per-zone egress counters in a
-// partitioned fabric. Partitioned counters are per-zone precisely so the
-// hot path never shares a cache line across kernels; read totals only
-// between runs.
+// BackboneFramesTotal reports every frame the backbone carried (tunnel
+// frames and native Ethernet alike) — the backbone-load metric — as the
+// sum of per-zone egress counters. The counters are per-zone so the
+// partitioned hot path never shares a cache line across kernels; on a
+// partitioned fabric read totals only between runs.
 func (f *Fabric) BackboneFramesTotal() int64 {
-	if f.group == nil {
-		return f.BackboneFrames.Value
-	}
 	var n int64
 	for _, bn := range f.bb {
 		n += bn.port.frames.Value
@@ -87,12 +78,11 @@ func (f *Fabric) BackboneFramesTotal() int64 {
 }
 
 // BackboneDeliveriesTotal reports backbone-ingress frames zones accepted
-// and delivered locally, across both fabric flavors. Read only between
-// runs on partitioned fabrics.
+// and delivered locally. With broadcast flooding every inter-zone frame
+// reaches all other zones, so this scales as (zones-1) per forwarded
+// frame — the flooding cost E17 measures. Read only between runs on
+// partitioned fabrics.
 func (f *Fabric) BackboneDeliveriesTotal() int64 {
-	if f.group == nil {
-		return f.BackboneDeliveries.Value
-	}
 	var n int64
 	for _, z := range f.zones {
 		n += z.bbDeliveries.Value
@@ -107,32 +97,30 @@ func (f *Fabric) BackboneDeliveriesTotal() int64 {
 // a partitioned fabric the request crosses the kernel boundary as a
 // timestamped control message and takes effect one backbone lookahead
 // later, which is also what keeps it deterministic at any parallelism.
+// Both domains must be known on either flavor (errors wrap ErrUnknown).
 // Callable from an event on the requesting zone's kernel, or between
 // runs.
 func (f *Fabric) RequestZoneQuarantine(fromDomain, targetDomain string) error {
-	tz, ok := f.domainZone[targetDomain]
-	if !ok {
-		return errors.New("zonal: unknown domain " + targetDomain)
-	}
-	if f.group == nil {
-		return f.QuarantineZone(tz.Name)
-	}
 	sz, ok := f.domainZone[fromDomain]
 	if !ok {
-		return errors.New("zonal: unknown domain " + fromDomain)
+		return fmt.Errorf("%w: %s", ErrUnknown, fromDomain)
 	}
-	if sz == tz {
+	tz, ok := f.domainZone[targetDomain]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknown, targetDomain)
+	}
+	if f.group == nil || sz == tz {
 		return f.QuarantineZone(tz.Name)
 	}
 	f.group.Send(sz.member, tz.member, sz.k.Now()+f.group.Lookahead(), tz.quarantineFn)
 	return nil
 }
 
-// backboneNet is one zone's view of the partitioned backbone: a
-// netif.Medium whose single port belongs to that zone's gateway. A send
-// floods to every other zone's port (tunnel frames are broadcast, and
-// gateway-port MACs are never unicast targets, matching the shared
-// switch's behavior), each copy riding an inter-kernel message.
+// backboneNet is one zone's view of the backbone: a netif.Medium whose
+// single port belongs to that zone's gateway. A send floods to every
+// other zone's port (tunnel frames are broadcast, and gateway-port MACs
+// are never unicast targets, so a learning switch would flood them too),
+// each copy riding a pooled message node.
 type backboneNet struct {
 	fab    *Fabric
 	member int
@@ -145,12 +133,12 @@ func (m *backboneNet) Name() string     { return "zonal-backbone" }
 
 // Tap observes this zone's backbone egress (each frame fires exactly one
 // zone's taps — its sender's — so fabric-wide tap counts see every frame
-// once, like a tap on the shared switch).
+// once, like a monitor port on a switch).
 func (m *backboneNet) Tap(fn netif.TapFunc) { m.taps = append(m.taps, fn) }
 
 func (m *backboneNet) Open(name string) (netif.Port, error) {
 	if m.port != nil {
-		return nil, errors.New("zonal: partitioned backbone port already open")
+		return nil, errors.New("zonal: backbone port already open")
 	}
 	m.port = &backbonePort{net: m, name: name}
 	return m.port, nil
@@ -178,9 +166,9 @@ func (p *backbonePort) OnReceive(fn netif.RecvFunc) { p.recv = fn }
 
 // Send floods the frame to every other zone. The arrival instant is
 // identical for all destinations — send + ingress serialization + hop +
-// egress serialization, the shared switch's exact store-and-forward
-// timing — and is always at least the group lookahead away, because the
-// lookahead is derived from the minimum-size crossing.
+// egress serialization, store-and-forward switch timing — and is always
+// at least a partitioned group's lookahead away, because the lookahead
+// is derived from the minimum-size crossing.
 func (p *backbonePort) Send(f *netif.Frame) error {
 	fab := p.net.fab
 	src := p.net.member
@@ -199,7 +187,11 @@ func (p *backbonePort) Send(f *netif.Frame) error {
 		m := dst.allocMsg()
 		m.at = at
 		f.CopyInto(&m.frame)
-		fab.group.Send(src, di, at, m.fn)
+		if fab.group == nil {
+			fab.kernel.At(at, m.fn)
+		} else {
+			fab.group.Send(src, di, at, m.fn)
+		}
 	}
 	return nil
 }
@@ -239,29 +231,4 @@ func (m *bbMsg) deliver() {
 	p.mu.Lock()
 	p.free = append(p.free, m)
 	p.mu.Unlock()
-}
-
-// InstrumentZones is Instrument for partitioned fabrics: zone i's
-// gateway attaches to tracers[i] — per-zone tracers, since one shared
-// ring cannot take concurrent appends from several kernels — and the
-// registry gets per-zone metrics plus the fabric totals. Registry
-// counters are only written by their owning zone's kernel and must only
-// be read between runs. tracers may be nil or shorter than the zone
-// list; missing entries mean metrics-only for that zone.
-func (f *Fabric) InstrumentZones(tracers []*obs.Tracer, reg *obs.Registry) {
-	for i, z := range f.zones {
-		var tr *obs.Tracer
-		if i < len(tracers) {
-			tr = tracers[i]
-		}
-		z.GW.InstrumentAs(tr, reg, "zone-"+z.Name)
-		if reg != nil {
-			z := z
-			reg.Probe("zone-"+z.Name+"/backbone_deliveries", func() float64 { return float64(z.bbDeliveries.Value) })
-		}
-	}
-	if reg != nil {
-		reg.Probe("zonal/backbone_frames", func() float64 { return float64(f.BackboneFramesTotal()) })
-		reg.Probe("zonal/backbone_deliveries", func() float64 { return float64(f.BackboneDeliveriesTotal()) })
-	}
 }

@@ -1,6 +1,7 @@
 package zonal
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -45,9 +46,9 @@ func (m *recMedium) Open(name string) (netif.Port, error) {
 }
 
 // zoneRig is one comparable zonal build: n zones, one recording CAN
-// domain per zone, allow-everything routing. Shared and partitioned
-// flavors use the identical topology and the identical modelled backbone
-// (2us store-and-forward switch on 100 Mbit/s links).
+// domain per zone, allow-everything routing. Shared-kernel and
+// partitioned flavors use the identical topology and the identical
+// modelled backbone (2us store-and-forward switch on 100 Mbit/s links).
 type zoneRig struct {
 	fab  *Fabric
 	g    *sim.KernelGroup // nil on the shared flavor
@@ -66,8 +67,7 @@ func newZoneRig(t testing.TB, zones int, partitioned bool, seed uint64) *zoneRig
 		r.fab = NewPartitioned(r.g, rigHop, ethernet.DefaultLinkBps)
 	} else {
 		r.k = sim.NewKernel(seed)
-		sw := ethernet.NewSwitch(r.k, "bb", rigHop)
-		r.fab = New(r.k, ethernet.Netif(sw, 1))
+		r.fab = New(r.k, rigHop, ethernet.DefaultLinkBps)
 	}
 	for i := 0; i < zones; i++ {
 		z, err := r.fab.AddZone(fmt.Sprintf("z%d", i))
@@ -141,11 +141,12 @@ func collisionFreeWorkload(r *zoneRig, zones, reps int) {
 	}
 }
 
-// TestPartitionedMatchesSharedBackboneTiming pins the partitioned
-// backbone's frame timing to the shared ethernet.Switch model: the same
-// topology, rules and collision-free workload must deliver every frame to
-// every zone at the same virtual instant, with the same backbone frame
-// and delivery counts.
+// TestPartitionedMatchesSharedBackboneTiming pins the partitioned fabric
+// to the shared-kernel one: the same topology, rules and collision-free
+// workload must deliver every frame to every zone at the same virtual
+// instant, with the same backbone frame and delivery counts. (The
+// backbone's timing against the ethernet.Switch model is pinned by
+// TestBackboneMatchesSwitchModel.)
 func TestPartitionedMatchesSharedBackboneTiming(t *testing.T) {
 	const zones, reps = 4, 6
 	shared := newZoneRig(t, zones, false, 7)
@@ -155,13 +156,7 @@ func TestPartitionedMatchesSharedBackboneTiming(t *testing.T) {
 	shared.run(t)
 	part.run(t)
 	if s, p := shared.fingerprint(), part.fingerprint(); s != p {
-		t.Fatalf("partitioned backbone diverged from shared switch:\n--- shared\n%s\n--- partitioned\n%s", s, p)
-	}
-	if !part.fab.Partitioned() || part.fab.Group() == nil {
-		t.Fatal("partitioned rig does not report Partitioned")
-	}
-	if shared.fab.Partitioned() {
-		t.Fatal("shared rig reports Partitioned")
+		t.Fatalf("partitioned fabric diverged from shared-kernel fabric:\n--- shared\n%s\n--- partitioned\n%s", s, p)
 	}
 }
 
@@ -205,7 +200,7 @@ func TestPartitionedSerialParallelEquivalence(t *testing.T) {
 // asynchronous containment request: it takes effect exactly one backbone
 // lookahead after the requesting zone's now — frames crossing before that
 // instant still deliver, frames after it are dropped at the target's
-// uplink.
+// uplink. Both fabric flavors reject unknown domains alike.
 func TestRequestZoneQuarantineCrossKernel(t *testing.T) {
 	r := newZoneRig(t, 3, true, 5)
 	// Two frames from zone 0 to everyone: one whose backbone arrival
@@ -226,12 +221,19 @@ func TestRequestZoneQuarantineCrossKernel(t *testing.T) {
 	if len(*r.logs[1]) != 2 {
 		t.Fatalf("zone 1 deliveries = %q, want both frames", *r.logs[1])
 	}
-	// Unknown domains are reported, not panicked.
-	if err := r.fab.RequestZoneQuarantine("d0", "nope"); err == nil {
-		t.Fatal("quarantine of unknown target domain did not error")
-	}
-	if err := r.fab.RequestZoneQuarantine("nope", "d0"); err == nil {
-		t.Fatal("quarantine from unknown source domain did not error")
+	// Unknown domains are reported, not panicked, and quarantine nothing.
+	for _, partitioned := range []bool{false, true} {
+		r := newZoneRig(t, 3, partitioned, 5)
+		if err := r.fab.RequestZoneQuarantine("d0", "nope"); !errors.Is(err, ErrUnknown) {
+			t.Fatalf("partitioned=%v: unknown target domain: err = %v, want ErrUnknown", partitioned, err)
+		}
+		if err := r.fab.RequestZoneQuarantine("nope", "d0"); !errors.Is(err, ErrUnknown) {
+			t.Fatalf("partitioned=%v: unknown source domain: err = %v, want ErrUnknown", partitioned, err)
+		}
+		r.run(t)
+		if r.fab.ZoneQuarantined("z0") {
+			t.Fatalf("partitioned=%v: rejected request quarantined z0", partitioned)
+		}
 	}
 }
 

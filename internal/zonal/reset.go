@@ -37,9 +37,9 @@ func (f *Fabric) MarkBaseline() {
 	}
 }
 
-// ResetToBaseline rewinds the fabric to its MarkBaseline snapshot. The
-// backbone medium must be reset separately (core.Vehicle.Reset does so),
-// since the fabric does not own it.
+// ResetToBaseline rewinds the fabric to its MarkBaseline snapshot,
+// backbone counters included. The kernels must be reset separately; a
+// backbone frame still in flight is dropped with its kernel's queue.
 func (f *Fabric) ResetToBaseline() {
 	if !f.base.sealed {
 		panic("zonal: ResetToBaseline before MarkBaseline")
@@ -52,8 +52,10 @@ func (f *Fabric) ResetToBaseline() {
 	for i := f.base.zones; i < len(f.zones); i++ {
 		delete(f.byName, f.zones[i].Name)
 		f.zones[i] = nil
+		f.bb[i] = nil
 	}
 	f.zones = f.zones[:f.base.zones]
+	f.bb = f.bb[:f.base.zones]
 	for _, z := range f.zones {
 		for i := z.baseLocals; i < len(z.locals); i++ {
 			z.locals[i] = ""
@@ -77,8 +79,6 @@ func (f *Fabric) ResetToBaseline() {
 		f.observers[i] = nil
 	}
 	f.observers = f.observers[:f.base.observers]
-	f.BackboneFrames.Value = 0
-	f.BackboneDeliveries.Value = 0
 	for _, z := range f.zones {
 		z.bbDeliveries.Value = 0
 	}

@@ -1,10 +1,11 @@
 // Package zonal builds zonal E/E topologies over the netif fabric:
 // several gateway.Gateway instances act as zone controllers, each owning
 // the routing state for its local CAN/LIN/FlexRay/Ethernet domains, and
-// all of them bridge over one Ethernet backbone using the DoIP-style
-// netif tunnel. This is the paper's Secure Gateway layer scaled past one
-// central box — the zonal architecture modern vehicles use so the wire
-// harness (and the routing table) shards by physical zone.
+// all of them bridge over one modelled Ethernet backbone using the
+// DoIP-style netif tunnel. This is the paper's Secure Gateway layer
+// scaled past one central box — the zonal architecture modern vehicles
+// use so the wire harness (and the routing table) shards by physical
+// zone.
 //
 // Callers configure the fabric with *logical* rules written exactly like
 // central-gateway rules (source domain, medium selector, identifier
@@ -29,7 +30,9 @@
 //
 // The steady-state inter-zone forward path allocates nothing: egress
 // encapsulation and ingress decapsulation reuse the per-domain scratch
-// buffers every gateway already carries (see TestInterZoneSteadyStateAllocs).
+// buffers every gateway already carries, and the backbone (one model for
+// shared-kernel and per-zone-kernel fabrics; see backboneNet) reuses
+// pooled message nodes (see TestInterZoneSteadyStateAllocs).
 package zonal
 
 import (
@@ -73,14 +76,13 @@ type Zone struct {
 	locals []string // local domain names in attach order
 
 	// k is the kernel the zone runs on: the shared fabric kernel, or the
-	// zone's own group member in a partitioned fabric. member is its
-	// kernel-group index (0 when shared).
+	// zone's own group member in a partitioned fabric. member is the
+	// zone's index, which is also its kernel-group member.
 	k      *sim.Kernel
 	member int
 
 	// bbDeliveries counts backbone-ingress frames this zone accepted and
-	// delivered locally. Partitioned fabrics count per zone (each zone's
-	// kernel owns its counter); shared fabrics use Fabric.BackboneDeliveries.
+	// delivered locally. Each zone's kernel owns its counter.
 	bbDeliveries sim.Counter
 
 	// quarantineFn is the prebound cross-kernel containment action
@@ -96,17 +98,17 @@ type Zone struct {
 // of the callback.
 type ObserveFunc func(at sim.Time, zone, from string, f *netif.Frame, verdict string)
 
-// Fabric is the zonal topology: the backbone medium, the zones bridged
+// Fabric is the zonal topology: the modelled backbone, the zones bridged
 // over it, the leaf-domain directory and the logical rule set the
 // per-zone shards compile from.
 type Fabric struct {
-	kernel   *sim.Kernel
-	backbone netif.Medium
+	// kernel runs every zone of a shared-kernel fabric; group (nil on
+	// shared-kernel fabrics) runs one kernel per zone.
+	kernel *sim.Kernel
+	group  *sim.KernelGroup
 
-	// Partitioned-fabric state (nil/zero on shared-kernel fabrics): the
-	// conservative kernel group, the modelled backbone switch parameters,
-	// and one backboneNet per zone (index = kernel-group member).
-	group   *sim.KernelGroup
+	// The modelled backbone switch parameters, and one backboneNet per
+	// zone (index = zone index).
 	hop     sim.Duration
 	linkBps int64
 	bb      []*backboneNet
@@ -123,15 +125,6 @@ type Fabric struct {
 	defaultAction gateway.Action
 
 	observers []ObserveFunc
-
-	// BackboneFrames counts every frame the backbone carries (tunnel
-	// frames and native Ethernet alike) — the backbone-load metric.
-	BackboneFrames sim.Counter
-	// BackboneDeliveries counts backbone-ingress frames a zone accepted
-	// and delivered locally. With broadcast flooding every inter-zone
-	// frame reaches all other zones, so this scales as (zones-1) per
-	// forwarded frame — the flooding cost E17 measures.
-	BackboneDeliveries sim.Counter
 
 	// base is the post-construction snapshot recorded by MarkBaseline for
 	// pooled reuse; see ResetToBaseline.
@@ -157,20 +150,18 @@ func (f *Fabric) inName(rule string) string {
 	return s
 }
 
-// New creates a fabric bridged over the given Ethernet backbone medium.
-func New(k *sim.Kernel, backbone netif.Medium) *Fabric {
-	f := &Fabric{
+// New creates a fabric whose zones all run on k, bridged by a modelled
+// store-and-forward backbone switch with the given hop latency and link
+// speed (2*sim.Microsecond and ethernet.DefaultLinkBps for the standard
+// vehicle build).
+func New(k *sim.Kernel, hop sim.Duration, linkBps int64) *Fabric {
+	return &Fabric{
 		kernel:     k,
-		backbone:   backbone,
+		hop:        hop,
+		linkBps:    linkBps,
 		byName:     make(map[string]*Zone),
 		domainZone: make(map[string]*Zone),
 	}
-	backbone.Tap(func(at sim.Time, fr *netif.Frame, corrupted bool) {
-		if !corrupted {
-			f.BackboneFrames.Inc()
-		}
-	})
-	return f
 }
 
 // AddZone creates a zone controller and attaches it to the backbone.
@@ -181,33 +172,24 @@ func (f *Fabric) AddZone(name string) (*Zone, error) {
 	if _, dup := f.byName[name]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDupZone, name)
 	}
-	z := &Zone{Name: name, fab: f, k: f.kernel}
-	uplink := f.backbone
+	z := &Zone{Name: name, fab: f, k: f.kernel, member: len(f.zones)}
 	if f.group != nil {
-		z.member = len(f.zones)
 		z.k = f.group.Kernel(z.member)
-		bn := &backboneNet{fab: f, member: z.member}
-		f.bb = append(f.bb, bn)
-		uplink = bn
-		z.quarantineFn = func() { z.GW.Quarantine(BackboneDomain) }
 	}
+	z.quarantineFn = func() { z.GW.Quarantine(BackboneDomain) }
+	bn := &backboneNet{fab: f, member: z.member}
 	z.GW = gateway.New(z.k, name)
 	z.GW.DefaultAction = f.defaultAction
-	if err := z.GW.AttachDomain(BackboneDomain, uplink); err != nil {
+	if err := z.GW.AttachDomain(BackboneDomain, bn); err != nil {
 		return nil, err
 	}
-	// Every zone counts its own backbone ingress (only this zone's kernel
+	f.bb = append(f.bb, bn)
+	// Every zone counts its own backbone ingress: only this zone's kernel
 	// writes the counter, so partitioned fabrics never contend on a shared
-	// word, and per-zone observability probes have a value to read).
-	// Shared-kernel fabrics additionally keep the fabric total live, which
-	// experiment code reads mid-run.
-	shared := f.group == nil
+	// word, and per-zone observability probes have a value to read.
 	z.GW.Observe(func(at sim.Time, from string, fr *netif.Frame, verdict string) {
 		if from == BackboneDomain && len(verdict) >= 5 && verdict[:5] == "allow" {
 			z.bbDeliveries.Inc()
-			if shared {
-				f.BackboneDeliveries.Inc()
-			}
 		}
 		for _, fn := range f.observers {
 			fn(at, z.Name, from, fr, verdict)
@@ -348,16 +330,34 @@ func (f *Fabric) ReleaseDomain(domain string) error {
 func (f *Fabric) Observe(fn ObserveFunc) { f.observers = append(f.observers, fn) }
 
 // Instrument attaches every zone gateway and the fabric counters to the
-// observability layer. Zone metrics register as "zone-<name>/..." so
-// several gateways share one registry without key collisions; fabric
-// totals register under "zonal/". A partitioned fabric rejects a shared
-// tracer: its zones run on concurrent kernels and one trace ring cannot
-// take interleaved appends — use InstrumentZones with per-zone tracers.
+// observability layer, all zones sharing one tracer. A partitioned fabric
+// rejects a shared tracer: its zones run on concurrent kernels and one
+// trace ring cannot take interleaved appends — use InstrumentZones with
+// per-zone tracers.
 func (f *Fabric) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 	if f.group != nil && tr != nil {
 		panic("zonal: shared tracer on a partitioned fabric; use InstrumentZones")
 	}
-	for _, z := range f.zones {
+	tracers := make([]*obs.Tracer, len(f.zones))
+	for i := range tracers {
+		tracers[i] = tr
+	}
+	f.InstrumentZones(tracers, reg)
+}
+
+// InstrumentZones attaches zone i's gateway to tracers[i] and registers
+// the metrics. Zone metrics register as "zone-<name>/..." so several
+// gateways share one registry without key collisions; fabric totals
+// register under "zonal/". On a partitioned fabric each registry counter
+// is written only by its owning zone's kernel and must only be read
+// between runs. tracers may be nil or shorter than the zone list;
+// missing entries mean metrics-only for that zone.
+func (f *Fabric) InstrumentZones(tracers []*obs.Tracer, reg *obs.Registry) {
+	for i, z := range f.zones {
+		var tr *obs.Tracer
+		if i < len(tracers) {
+			tr = tracers[i]
+		}
 		z.GW.InstrumentAs(tr, reg, "zone-"+z.Name)
 		if reg != nil {
 			z := z

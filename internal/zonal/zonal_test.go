@@ -7,6 +7,7 @@ import (
 	"autosec/internal/can"
 	"autosec/internal/ethernet"
 	"autosec/internal/gateway"
+	"autosec/internal/netif"
 	"autosec/internal/obs"
 	"autosec/internal/sim"
 )
@@ -16,8 +17,7 @@ import (
 func rig2(t testing.TB) (k *sim.Kernel, f *Fabric, pt, body *can.Bus) {
 	t.Helper()
 	k = sim.NewKernel(1)
-	sw := ethernet.NewSwitch(k, "bb", 2*sim.Microsecond)
-	f = New(k, ethernet.Netif(sw, 1))
+	f = New(k, 2*sim.Microsecond, ethernet.DefaultLinkBps)
 	za, err := f.AddZone("a")
 	if err != nil {
 		t.Fatal(err)
@@ -146,18 +146,17 @@ func TestCrossZoneForwardOverBackbone(t *testing.T) {
 	if string(got[0].Data) != string([]byte{1, 2, 3, 4}) {
 		t.Fatalf("payload %v corrupted in transit", got[0].Data)
 	}
-	if f.BackboneFrames.Value == 0 {
+	if f.BackboneFramesTotal() == 0 {
 		t.Fatal("cross-zone frame never touched the backbone")
 	}
-	if f.BackboneDeliveries.Value != 1 {
-		t.Fatalf("backbone deliveries = %d, want 1", f.BackboneDeliveries.Value)
+	if n := f.BackboneDeliveriesTotal(); n != 1 {
+		t.Fatalf("backbone deliveries = %d, want 1", n)
 	}
 }
 
 func TestZoneQuarantineIsolatesButLocalRoutingSurvives(t *testing.T) {
 	k := sim.NewKernel(1)
-	sw := ethernet.NewSwitch(k, "bb", 2*sim.Microsecond)
-	f := New(k, ethernet.Netif(sw, 1))
+	f := New(k, 2*sim.Microsecond, ethernet.DefaultLinkBps)
 	za, _ := f.AddZone("a")
 	zb, _ := f.AddZone("b")
 	pt := can.NewBus(k, "powertrain", 500_000)
@@ -285,8 +284,7 @@ func TestZonalDeterministic(t *testing.T) {
 
 func TestTopologyErrors(t *testing.T) {
 	k := sim.NewKernel(1)
-	sw := ethernet.NewSwitch(k, "bb", 0)
-	f := New(k, ethernet.Netif(sw, 1))
+	f := New(k, 0, ethernet.DefaultLinkBps)
 	if _, err := f.AddZone(BackboneDomain); err == nil {
 		t.Fatal("zone named backbone must be rejected")
 	}
@@ -354,11 +352,123 @@ func TestPerZoneDeliveryProbes(t *testing.T) {
 	if got := snap["zonal/backbone_deliveries"]; got != 2 {
 		t.Fatalf("fabric delivery total = %v, want 2", got)
 	}
-	za, _ := f.ZoneByName("a")
-	if za.BackboneDeliveriesCount() != 2 {
-		t.Fatalf("zone accessor = %d, want 2", za.BackboneDeliveriesCount())
+}
+
+// TestBackboneMatchesSwitchModel pins the fabric backbone's timing to the
+// ethernet.Switch store-and-forward model: a frame reaches the far zone's
+// gateway exactly when a two-host switch with the same hop latency
+// delivers a frame with the same payload length. The lengths straddle the
+// 46-byte minimum-frame pad; the last case is a 254-byte FlexRay frame
+// tunnelled over the backbone.
+func TestBackboneMatchesSwitchModel(t *testing.T) {
+	const hop = 2 * sim.Microsecond
+	const sendAt = sim.Millisecond
+
+	// fabricCrossing sends fr from zone a's local domain and reports when
+	// zone b's gateway took it off the backbone.
+	fabricCrossing := func(fr netif.Frame) sim.Duration {
+		kind := fr.Medium
+		k := sim.NewKernel(1)
+		f := New(k, hop, ethernet.DefaultLinkBps)
+		za, _ := f.AddZone("a")
+		zb, _ := f.AddZone("b")
+		src := &stubMedium{kind: kind}
+		if err := za.AttachDomain("src", src); err != nil {
+			t.Fatal(err)
+		}
+		if err := zb.AttachDomain("dst", &stubMedium{kind: kind}); err != nil {
+			t.Fatal(err)
+		}
+		f.SetRules([]*gateway.Rule{{Name: "open", From: "src", To: []string{"dst"}, IDLo: 0, IDHi: 0xFFFF, Action: gateway.Allow}})
+		at := sim.Time(-1)
+		f.Observe(func(now sim.Time, zone, from string, _ *netif.Frame, verdict string) {
+			if zone == "b" && from == BackboneDomain {
+				at = now
+			}
+		})
+		k.At(sendAt, func() { src.ports[0].recv(sendAt, &fr) })
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if at < 0 {
+			t.Fatalf("%s %dB: frame never crossed the backbone", kind, len(fr.Payload))
+		}
+		return at - sendAt
 	}
-	if f.BackboneDeliveries.Value != 2 {
-		t.Fatalf("shared fabric counter = %d, want 2", f.BackboneDeliveries.Value)
+	// switchCrossing is the reference: one broadcast frame through a
+	// two-host ethernet.Switch.
+	switchCrossing := func(n int) sim.Duration {
+		k := sim.NewKernel(1)
+		sw := ethernet.NewSwitch(k, "ref", hop)
+		tx := ethernet.NewHost("tx", ethernet.LocalMAC(1))
+		rx := ethernet.NewHost("rx", ethernet.LocalMAC(2))
+		sw.Connect(tx, 1)
+		sw.Connect(rx, 1)
+		at := sim.Time(-1)
+		rx.OnReceive(func(now sim.Time, _ *ethernet.Frame) { at = now })
+		k.At(sendAt, func() {
+			if err := tx.Send(ethernet.Frame{Dst: ethernet.Broadcast, EtherType: uint16(netif.TunnelEtherType), Payload: make([]byte, n)}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return at - sendAt
+	}
+
+	for _, c := range []struct {
+		kind    netif.Kind
+		payload int
+	}{
+		{netif.Ethernet, 0},
+		{netif.Ethernet, 12},
+		{netif.Ethernet, 45},
+		{netif.Ethernet, 46},
+		{netif.Ethernet, 47},
+		{netif.Ethernet, 300},
+		{netif.Ethernet, 1500},
+		{netif.FlexRay, 254},
+	} {
+		fr := netif.Frame{Medium: c.kind, ID: 0x10, Priority: 0x10, Payload: make([]byte, c.payload)}
+		// The backbone frame: native Ethernet as-is, anything else in the
+		// tunnel encapsulation, exactly as a zone gateway translates it.
+		var bb netif.Frame
+		var scratch []byte
+		if err := netif.Translate(&bb, &fr, netif.Ethernet, &scratch); err != nil {
+			t.Fatal(err)
+		}
+		got, want := fabricCrossing(fr), switchCrossing(len(bb.Payload))
+		if got != want {
+			t.Errorf("%s %dB (%dB on the backbone): fabric crossing %v, switch model %v", c.kind, c.payload, len(bb.Payload), got, want)
+		}
+	}
+}
+
+// TestResetDropsScenarioZoneFromBackbone pins that ResetToBaseline takes
+// a zone added after MarkBaseline off the backbone: a zone re-added under
+// the same name gets the next backbone port, and frames reach it once,
+// never the dropped zone.
+func TestResetDropsScenarioZoneFromBackbone(t *testing.T) {
+	r := newZoneRig(t, 2, false, 3)
+	r.fab.MarkBaseline()
+	addZone := func() *[]string {
+		z, err := r.fab.AddZone("z2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := &[]string{}
+		if err := z.AttachDomain("d2", &recMedium{now: r.k.Now, log: log}); err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	dropped := addZone()
+	r.fab.ResetToBaseline()
+	readded := addZone()
+	r.inject(0, sim.Millisecond, 0x100, 1)
+	r.run(t)
+	if len(*dropped) != 0 || len(*readded) != 1 {
+		t.Fatalf("deliveries: dropped zone %q, re-added zone %q; want none and one", *dropped, *readded)
 	}
 }
