@@ -20,9 +20,9 @@
 // scenario with one event kernel per zone (core's PerZoneKernels build)
 // and runs the kernel group on N workers. The narrative is byte-identical
 // for every N — CI diffs N=1 against N=8 — but it is a different timeline
-// from the default shared-kernel build, so 0 (the default) keeps the
-// legacy narrative. -trace/-timeline need the shared kernel; they reject
-// -kernelpar.
+// from the default one-kernel build, so 0 (the default) keeps the
+// legacy narrative. -trace/-timeline record one kernel into one trace
+// ring; they reject -kernelpar.
 //
 // Fleet observability (fleet-compromise scenario): -fleetpar pins the
 // fleet driver's worker count (the narrative and every deterministic
@@ -82,7 +82,7 @@ type scenario struct {
 }
 
 // kernelPar is the -kernelpar flag: 0 keeps scenarios on their default
-// shared-kernel builds; N >= 1 switches the zonal scenario to a
+// one-kernel builds; N >= 1 switches the zonal scenario to a
 // per-zone-kernel vehicle with N group workers. Read-only after flag
 // parsing, so replicated scenario closures may read it concurrently.
 var kernelPar int
@@ -154,7 +154,7 @@ func main() {
 		traceFile := fs.String("trace", "", "write a Chrome trace_event JSON of the run to this file (single seed only)")
 		timelineFile := fs.String("timeline", "", "write a plain-text event timeline to this file (single seed only)")
 		metrics := fs.Bool("metrics", false, "print the observability metrics snapshot after the run")
-		kpar := fs.Int("kernelpar", 0, "zonal scenario: run one kernel per zone on N workers (0 = legacy shared kernel; any N >= 1 prints identical output)")
+		kpar := fs.Int("kernelpar", 0, "zonal scenario: run one kernel per zone on N workers (0 = one kernel for the whole vehicle; any N >= 1 prints identical output)")
 		fpar := fs.Int("fleetpar", 0, "fleet scenario: fleet driver worker count (0 = GOMAXPROCS; any value prints identical output)")
 		frate := fs.Float64("fleetrate", 0, "fleet scenario: flight-recorder sample rate in [0,1] (incident vehicles always kept)")
 		ftrace := fs.String("fleettrace", "", "fleet scenario: export kept flight-recorder traces as Chrome JSON under this directory")
@@ -189,7 +189,7 @@ func main() {
 		}
 		fleetPar, fleetRate, fleetTraceDir, fleetProm, fleetProgress = *fpar, *frate, *ftrace, *prom, *prog
 		if *kpar >= 1 && (*traceFile != "" || *timelineFile != "") {
-			fmt.Fprintln(os.Stderr, "autosim: -trace/-timeline need the shared-kernel build; drop -kernelpar (per-member tracing lives in core.InstrumentParallel)")
+			fmt.Fprintln(os.Stderr, "autosim: -trace/-timeline record one kernel into one trace ring; drop -kernelpar (per-zone kernels need one tracer each, see core.InstrumentParallel)")
 			os.Exit(2)
 		}
 		kernelPar = *kpar

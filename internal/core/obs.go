@@ -9,48 +9,15 @@ import (
 // gateway verdicts, IDS alerts, audit-log health, OTA outcomes (when a
 // client is attached) and the PKES unit. Either argument may be nil —
 // tracing and metrics enable independently — and a vehicle that is never
-// instrumented pays only nil checks on its hot paths.
-//
-// Buses instrument in fixed domain order so label interning (and
-// therefore trace bytes) is deterministic.
+// instrumented pays only nil checks on its hot paths. It is
+// InstrumentParallel with one tracer, which a per-zone-kernel build
+// rejects: one trace ring cannot take concurrent appends from several
+// kernels.
 func (v *Vehicle) Instrument(tr *obs.Tracer, reg *obs.Registry) {
-	if v.Group != nil && tr != nil {
-		// One trace ring cannot take concurrent appends from per-zone
-		// kernels; parallel builds take per-member tracers instead.
+	if tr != nil && v.Group.Members() > 1 {
 		panic("core: shared tracer on a per-zone-kernel build; use InstrumentParallel")
 	}
-	if tr == nil && v.reattachMetrics(reg) {
-		return
-	}
-	if tr != nil {
-		v.Kernel.SetTraceSink(tr)
-	}
-	if reg != nil {
-		if v.Group != nil {
-			reg.Probe("kernel/steps", func() float64 { return float64(v.Group.Steps()) })
-			reg.Probe("kernel/pending", func() float64 { return float64(v.Group.Pending()) })
-		} else {
-			reg.Probe("kernel/steps", func() float64 { return float64(v.Kernel.Steps()) })
-			reg.Probe("kernel/pending", func() float64 { return float64(v.Kernel.Pending()) })
-		}
-	}
-	for _, name := range []string{DomainPowertrain, DomainChassis, DomainInfotainment} {
-		v.Buses[name].Instrument(tr, reg)
-	}
-	if v.Zonal != nil {
-		v.Zonal.Instrument(tr, reg)
-	} else {
-		v.Gateway.Instrument(tr, reg)
-	}
-	v.IDS.Instrument(tr, reg)
-	v.Audit.Instrument(reg)
-	if v.OTA != nil {
-		v.OTA.Instrument(tr, reg)
-	}
-	v.Keyless.Instrument(tr, reg, v.Kernel.Now)
-	if reg != nil {
-		reg.Probe("core/auth_failures", func() float64 { return float64(v.AuthFailures.Value) })
-	}
+	v.InstrumentParallel([]*obs.Tracer{tr}, reg)
 }
 
 // reattachMetrics is the metrics-only re-instrument fast path for pooled
@@ -80,40 +47,44 @@ func (v *Vehicle) reattachMetrics(reg *obs.Registry) bool {
 	return v.Audit.ReattachMetrics(reg)
 }
 
-// InstrumentParallel is Instrument for per-zone-kernel builds: member i's
-// kernel — and every subsystem homed in zone i (its buses and gateway) —
-// attaches to tracers[i], so each trace ring is appended by exactly one
-// kernel. Subsystems homed in zone 0 (IDS, keyless, OTA) use tracers[0].
-// tracers may be nil or shorter than the member count; missing entries
-// mean metrics-only for that member. Metrics register against the shared
-// registry exactly like Instrument; read them between runs only.
+// InstrumentParallel is Instrument with one tracer per kernel-group
+// member: member i's kernel — and every subsystem homed on it (its
+// zones' buses and gateways) — attaches to tracers[i], so each trace
+// ring is appended by exactly one kernel. Subsystems homed in zone 0
+// (IDS, keyless, OTA) use tracers[0]. tracers may be nil or shorter than
+// the member count; missing entries mean metrics-only for that member.
+// Metrics register against the shared registry; on a per-zone-kernel
+// build read them between runs only. Buses instrument in fixed domain
+// order so label interning (and therefore trace bytes) is deterministic.
 func (v *Vehicle) InstrumentParallel(tracers []*obs.Tracer, reg *obs.Registry) {
-	if v.Group == nil {
-		panic("core: InstrumentParallel on a single-kernel build; use Instrument")
-	}
 	trOf := func(i int) *obs.Tracer {
 		if i < len(tracers) {
 			return tracers[i]
 		}
 		return nil
 	}
+	traced := false
 	for i := 0; i < v.Group.Members(); i++ {
 		if t := trOf(i); t != nil {
 			v.Group.Kernel(i).SetTraceSink(t)
+			traced = true
 		}
+	}
+	if !traced && v.reattachMetrics(reg) {
+		return
 	}
 	if reg != nil {
 		reg.Probe("kernel/steps", func() float64 { return float64(v.Group.Steps()) })
 		reg.Probe("kernel/pending", func() float64 { return float64(v.Group.Pending()) })
 	}
 	for _, name := range []string{DomainPowertrain, DomainChassis, DomainInfotainment} {
-		m := 0
-		if z, ok := v.Zonal.ZoneOf(name); ok {
-			m = z.Member()
-		}
-		v.Buses[name].Instrument(trOf(m), reg)
+		v.Buses[name].Instrument(trOf(v.memberOf(name)), reg)
 	}
-	v.Zonal.InstrumentZones(tracers, reg)
+	if v.Zonal != nil {
+		v.Zonal.InstrumentZones(tracers, reg)
+	} else {
+		v.Gateway.Instrument(trOf(0), reg)
+	}
 	v.IDS.Instrument(trOf(0), reg)
 	v.Audit.Instrument(reg)
 	if v.OTA != nil {

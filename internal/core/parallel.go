@@ -1,13 +1,14 @@
-// Parallel intra-vehicle simulation. A vehicle built with
-// ZonalConfig.PerZoneKernels runs each zone on its own sim.Kernel under a
-// conservative sim.KernelGroup: intra-zone traffic (CAN arbitration,
-// workload matrices, IDS inference, local gateway verdicts) dispatches
-// concurrently, and only backbone crossings synchronize, with the
-// Ethernet tunnel latency as lookahead. Execution is byte-deterministic
-// at any SetParallelism setting — the equivalence property
-// TestKernelParSerialParallelEquivalence enforces.
+// Vehicle execution on a sim.KernelGroup. Every vehicle runs on a group:
+// a one-member group is the plain serial kernel, and a vehicle built
+// with ZonalConfig.PerZoneKernels runs each zone on its own member under
+// the group's conservative synchronization — intra-zone traffic (CAN
+// arbitration, workload matrices, IDS inference, local gateway verdicts)
+// dispatches concurrently, and only backbone crossings synchronize, with
+// the Ethernet tunnel latency as lookahead. Execution is
+// byte-deterministic at any SetParallelism setting — the equivalence
+// property TestKernelParSerialParallelEquivalence enforces.
 //
-// Rules for scenario code driving a parallel vehicle:
+// Rules for scenario code driving a per-zone-kernel vehicle:
 //
 //   - Schedule domain work on KernelFor(domain), never on Vehicle.Kernel
 //     unless the domain shards into zone 0.
@@ -26,9 +27,8 @@ import (
 )
 
 // backboneHopLatency is the fixed store-and-forward processing latency of
-// the zonal backbone switch that both zonal flavors model. On
-// per-zone-kernel builds its minimum crossing time
-// (ethernet.TunnelLookahead) also bounds the kernel group's lookahead.
+// the zonal backbone switch. Its minimum crossing time
+// (ethernet.TunnelLookahead) is also the kernel group's lookahead.
 const backboneHopLatency = 2 * sim.Microsecond
 
 // standardDomainZone returns the zone index a standard domain shards
@@ -45,42 +45,41 @@ func standardDomainZone(name string, zones int) int {
 	}
 }
 
-// KernelFor returns the kernel that owns a domain's events: the owning
-// zone's member kernel on a per-zone-kernel build, the vehicle kernel
-// otherwise. Scenario code scheduling domain traffic must use it.
-func (v *Vehicle) KernelFor(domain string) *sim.Kernel {
+// memberOf returns the kernel-group member that owns a domain's events:
+// the owning zone's member on a zonal build, member 0 otherwise.
+func (v *Vehicle) memberOf(domain string) int {
 	if v.Zonal != nil {
 		if z, ok := v.Zonal.ZoneOf(domain); ok {
-			return z.Kernel()
+			return z.Member()
 		}
 	}
-	return v.Kernel
+	return 0
 }
 
-// Run drives the vehicle until its event queues drain: the kernel group
-// on a parallel build, the single kernel otherwise.
-func (v *Vehicle) Run() error {
-	if v.Group != nil {
-		return v.Group.Run()
-	}
-	return v.Kernel.Run()
-}
+// KernelFor returns the kernel that owns a domain's events. Scenario
+// code scheduling domain traffic must use it.
+func (v *Vehicle) KernelFor(domain string) *sim.Kernel { return v.Group.Kernel(v.memberOf(domain)) }
+
+// Run drives the vehicle until its event queues drain.
+func (v *Vehicle) Run() error { return v.Group.Run() }
 
 // RunUntil drives the vehicle to virtual time t (inclusive).
-func (v *Vehicle) RunUntil(t sim.Time) error {
-	if v.Group != nil {
-		return v.Group.RunUntil(t)
-	}
-	return v.Kernel.RunUntil(t)
-}
+func (v *Vehicle) RunUntil(t sim.Time) error { return v.Group.RunUntil(t) }
 
-// SetParallelism sets the worker count of a parallel build's kernel
-// group (1 = serial reference execution). No-op on single-kernel builds.
-// Any value produces byte-identical simulation results.
-func (v *Vehicle) SetParallelism(n int) {
-	if v.Group != nil {
-		v.Group.SetWorkers(n)
+// SetParallelism sets how many goroutines dispatch the kernel group's
+// windows (1 = serial reference execution); a one-member group always
+// runs serially. Any value produces byte-identical simulation results.
+func (v *Vehicle) SetParallelism(n int) { v.Group.SetWorkers(n) }
+
+// auditEvent records a security event raised on member m's kernel: appended
+// to the sealed log at once on a one-member group, staged for the
+// barrier merge when several members could append concurrently.
+func (v *Vehicle) auditEvent(m int, at sim.Time, src, msg string) {
+	if v.Group.Members() == 1 {
+		v.Audit.Append(at, src, msg)
+		return
 	}
+	v.auditStage[m] = append(v.auditStage[m], stagedAudit{at: at, src: src, msg: msg})
 }
 
 // stagedAudit is one audit event waiting in a member's staging buffer

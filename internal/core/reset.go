@@ -107,16 +107,12 @@ func (v *Vehicle) Reset(seed uint64) {
 	// Kernel first: drops every scheduled event (traffic matrices, FlexRay
 	// cycles, pending transmissions) and reseeds all named streams in
 	// place, so subsystem resets below see an empty timeline at t=now.
-	// Parallel builds reset the whole group (every member kernel plus
-	// undelivered inter-kernel messages) and drop staged audit events.
-	if v.Group != nil {
-		v.Group.Reset(seed)
-		for m := range v.auditStage {
-			v.auditStage[m] = v.auditStage[m][:0]
-			v.stageIdx[m] = 0
-		}
-	} else {
-		v.Kernel.Reset(seed)
+	// The whole group resets (every member kernel plus undelivered
+	// inter-kernel messages), and staged audit events drop.
+	v.Group.Reset(seed)
+	for m := range v.auditStage {
+		v.auditStage[m] = v.auditStage[m][:0]
+		v.stageIdx[m] = 0
 	}
 
 	// Media, in construction order.

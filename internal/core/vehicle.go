@@ -87,15 +87,15 @@ type ZonalConfig struct {
 	// LocalDomains replicates per zone: zone i gains a local domain
 	// "z<i>-<Name>" of the given medium kind for each entry.
 	LocalDomains []DomainSpec
-	// PerZoneKernels runs each zone on its own event kernel, synchronized
-	// conservatively at backbone crossings (sim.KernelGroup with the
-	// Ethernet tunnel latency as lookahead). Vehicle.Group is non-nil,
-	// Vehicle.Kernel is zone 0's member kernel, and each domain's events
-	// live on its owning zone's kernel — schedule through
+	// PerZoneKernels gives Vehicle.Group one member kernel per zone
+	// instead of one for the whole vehicle, synchronized conservatively
+	// at backbone crossings (the Ethernet tunnel latency is the
+	// lookahead). Vehicle.Kernel is zone 0's member kernel, and each
+	// domain's events live on its owning zone's kernel — schedule through
 	// Vehicle.KernelFor. Execution is byte-deterministic at any
-	// Vehicle.SetParallelism setting. Both zonal builds run the same
-	// backbone model, but this is a distinct timeline from the
-	// shared-kernel build (per-zone kernels draw per-member seeds).
+	// Vehicle.SetParallelism setting. Both builds run the same backbone
+	// model, but this is a distinct timeline from the one-kernel build
+	// (per-zone kernels draw per-member seeds).
 	PerZoneKernels bool
 }
 
@@ -105,8 +105,9 @@ type ZonalConfig struct {
 type Vehicle struct {
 	VIN    string
 	Kernel *sim.Kernel
-	// Group is the per-zone kernel group of a parallel zonal build
-	// (Zonal.PerZoneKernels); nil otherwise. Kernel is member 0.
+	// Group runs the vehicle: one member kernel per zone on a
+	// ZonalConfig.PerZoneKernels build, a single member otherwise.
+	// Kernel is member 0.
 	Group *sim.KernelGroup
 	Arch  *Architecture
 
@@ -146,10 +147,11 @@ type Vehicle struct {
 
 	trafficStops []func()
 
-	// auditStage holds per-member staged audit events of a parallel build:
-	// zone kernels cannot Append to the shared (SHE-sealed) log
-	// concurrently, so each member stages its events and the group barrier
-	// merges them in (time, member) order — see mergeAuditStages.
+	// auditStage holds per-member staged audit events when the group has
+	// several members (nil otherwise): zone kernels cannot Append to the
+	// shared (SHE-sealed) log concurrently, so each member stages its
+	// events and the group barrier merges them in (time, member) order —
+	// see auditEvent and mergeAuditStages.
 	auditStage [][]stagedAudit
 	stageIdx   []int
 
@@ -176,22 +178,20 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 	if cfg.VIN == "" {
 		return nil, errors.New("core: vehicle needs a VIN")
 	}
-	var k *sim.Kernel
-	var group *sim.KernelGroup
-	if cfg.Zonal != nil && cfg.Zonal.PerZoneKernels {
-		if cfg.Zonal.Zones < 2 {
-			return nil, fmt.Errorf("core: zonal build needs >= 2 zones, got %d", cfg.Zonal.Zones)
+	// A central build places every domain in one zone; a zonal build
+	// shards them across its zones, each on member zone % members.
+	zones, members := 1, 1
+	if cfg.Zonal != nil {
+		zones = cfg.Zonal.Zones
+		if zones < 2 {
+			return nil, fmt.Errorf("core: zonal build needs >= 2 zones, got %d", zones)
 		}
-		group = sim.NewKernelGroup(cfg.Seed, ethernet.TunnelLookahead(backboneHopLatency, ethernet.DefaultLinkBps))
-		// Materialize every member kernel up front: domain media bind to
-		// their owning zone's kernel before the fabric exists.
-		for i := 0; i < cfg.Zonal.Zones; i++ {
-			group.Kernel(i)
+		if cfg.Zonal.PerZoneKernels {
+			members = zones
 		}
-		k = group.Kernel(0)
-	} else {
-		k = sim.NewKernel(cfg.Seed)
 	}
+	group := sim.NewKernelGroup(cfg.Seed, ethernet.TunnelLookahead(backboneHopLatency, ethernet.DefaultLinkBps), members)
+	k := group.Kernel(0)
 	v := &Vehicle{
 		VIN:             cfg.VIN,
 		Kernel:          k,
@@ -206,21 +206,16 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 	}
 
 	// Secure Networks: the IVN domains. Each standard bus lives on the
-	// kernel of the zone it will shard into — the shared kernel except in
-	// per-zone-kernel builds, where intra-zone bus events must never cross
-	// the kernel boundary.
+	// kernel of the zone it will shard into, so intra-zone bus events
+	// never cross a kernel boundary.
 	for _, d := range []string{DomainPowertrain, DomainChassis, DomainInfotainment} {
-		bk := k
-		if group != nil {
-			bk = group.Kernel(standardDomainZone(d, cfg.Zonal.Zones))
-		}
-		v.Buses[d] = can.NewBus(bk, d, 500_000)
+		v.Buses[d] = can.NewBus(group.Kernel(standardDomainZone(d, zones)%members), d, 500_000)
 		v.Media[d] = can.Netif(v.Buses[d])
 		v.domainOrder = append(v.domainOrder, d)
 	}
 	// Mixed-medium extras build in declared order (kernel event
 	// scheduling, e.g. FlexRay cycles, must be deterministic). They shard
-	// into zone 0, whose kernel is v.Kernel in every build flavor.
+	// into zone 0, whose kernel is v.Kernel in every build.
 	for _, spec := range cfg.ExtraDomains {
 		if err := v.addExtraDomainOn(k, spec); err != nil {
 			return nil, err
@@ -261,8 +256,8 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 	v.IDS.Attach(v.Media[DomainPowertrain])
 	if cfg.IDS != nil {
 		// Widened taps: every mixed-media extra domain feeds the engine.
-		// Extras shard into zone 0 — member 0's kernel — in every build
-		// flavor, so the added taps never observe across kernels.
+		// Extras shard into zone 0 — member 0's kernel — in every build,
+		// so the added taps never observe across kernels.
 		for _, spec := range cfg.ExtraDomains {
 			v.IDS.Attach(v.Media[spec.Name])
 		}
@@ -291,48 +286,30 @@ func NewVehicle(cfg Config) (*Vehicle, error) {
 	v.Audit = audit.New(func(msg []byte) ([]byte, error) {
 		return v.SHE.GenerateMAC(she.Key10, msg)
 	})
-	switch {
-	case v.Group != nil:
-		// Parallel zonal build: zone kernels cannot Append to the shared
-		// SHE-sealed log concurrently, so each member stages its events and
-		// the group barrier merges them in (time, member) order.
-		v.auditStage = make([][]stagedAudit, v.Group.Members())
-		v.stageIdx = make([]int, v.Group.Members())
+	if members > 1 {
+		v.auditStage = make([][]stagedAudit, members)
+		v.stageIdx = make([]int, members)
+		v.Group.AtBarrier(func(limit sim.Time) { v.mergeAuditStages() })
+	}
+	// Denials and quarantine drops are security events; routine allows
+	// would swamp the log.
+	if v.Zonal != nil {
 		v.Zonal.Observe(func(at sim.Time, zone, from string, f *netif.Frame, verdict string) {
 			if auditableVerdict(verdict) {
 				z, _ := v.Zonal.ZoneByName(zone)
-				m := z.Member()
-				v.auditStage[m] = append(v.auditStage[m], stagedAudit{
-					at: at, src: "gateway",
-					msg: verdict + " id=" + auditID(f) + " from=" + from + " zone=" + zone,
-				})
+				v.auditEvent(z.Member(), at, "gateway", verdict+" id="+auditID(f)+" from="+from+" zone="+zone)
 			}
 		})
-		v.Group.AtBarrier(func(limit sim.Time) { v.mergeAuditStages() })
-	case v.Zonal != nil:
-		v.Zonal.Observe(func(at sim.Time, zone, from string, f *netif.Frame, verdict string) {
-			if auditableVerdict(verdict) {
-				v.Audit.Append(at, "gateway", verdict+" id="+auditID(f)+" from="+from+" zone="+zone)
-			}
-		})
-	default:
+	} else {
 		v.Gateway.Observe(func(at sim.Time, from string, f *netif.Frame, verdict string) {
-			// Denials and quarantine drops are security events; routine
-			// allows would swamp the log.
 			if auditableVerdict(verdict) {
-				v.Audit.Append(at, "gateway", verdict+" id="+auditID(f)+" from="+from)
+				v.auditEvent(0, at, "gateway", verdict+" id="+auditID(f)+" from="+from)
 			}
 		})
 	}
-	v.IDS.OnAlert(func(a ids.Alert) {
-		// The IDS taps the powertrain domain, which shards into zone 0 —
-		// member 0's kernel — so parallel builds stage its alerts there.
-		if v.Group != nil {
-			v.auditStage[0] = append(v.auditStage[0], stagedAudit{at: a.At, src: "ids", msg: a.String()})
-			return
-		}
-		v.Audit.Append(a.At, "ids", a.String())
-	})
+	// The IDS taps the powertrain domain, which shards into zone 0 —
+	// member 0's kernel.
+	v.IDS.OnAlert(func(a ids.Alert) { v.auditEvent(0, a.At, "ids", a.String()) })
 
 	// Policy plane.
 	if cfg.PolicyKey != nil {
@@ -390,21 +367,14 @@ func auditID(f *netif.Frame) string {
 }
 
 // buildZonal constructs the zonal topology: the fabric and its modelled
-// Ethernet backbone, cfg.Zonal.Zones zone controllers ("z0".."z<n-1>"),
-// the standard domains sharded across them, ExtraDomains in zone 0, and
-// per-zone local domains from cfg.Zonal.LocalDomains. Everything attaches in a fixed order so
-// the build is seed-deterministic.
+// Ethernet backbone, cfg.Zonal.Zones zone controllers ("z0".."z<n-1>",
+// already validated by NewVehicle), the standard domains sharded across
+// them, ExtraDomains in zone 0, and per-zone local domains from
+// cfg.Zonal.LocalDomains. Everything attaches in a fixed order so the
+// build is seed-deterministic.
 func (v *Vehicle) buildZonal(cfg Config) error {
 	n := cfg.Zonal.Zones
-	if n < 2 {
-		return fmt.Errorf("core: zonal build needs >= 2 zones, got %d", n)
-	}
-	if v.Group != nil {
-		// Per-zone kernels: the backbone is the kernel boundary.
-		v.Zonal = zonal.NewPartitioned(v.Group, backboneHopLatency, ethernet.DefaultLinkBps)
-	} else {
-		v.Zonal = zonal.New(v.Kernel, backboneHopLatency, ethernet.DefaultLinkBps)
-	}
+	v.Zonal = zonal.New(v.Group, backboneHopLatency, ethernet.DefaultLinkBps)
 	zones := make([]*zonal.Zone, n)
 	for i := range zones {
 		z, err := v.Zonal.AddZone("z" + strconv.Itoa(i))
@@ -442,8 +412,8 @@ func (v *Vehicle) buildZonal(cfg Config) error {
 }
 
 // addExtraDomainOn builds the native network for one ExtraDomains entry
-// on the given kernel (the owning zone's kernel in per-zone-kernel
-// builds) and registers its fabric view in Media.
+// on the given kernel (the owning zone's kernel) and registers its
+// fabric view in Media.
 func (v *Vehicle) addExtraDomainOn(k *sim.Kernel, spec DomainSpec) error {
 	if spec.Name == "" {
 		return errors.New("core: extra domain needs a name")
@@ -661,7 +631,7 @@ func (v *Vehicle) ArmAutoQuarantine(sourceDomain string) {
 		if v.Zonal != nil {
 			// The alert fires in the powertrain's zone (the IDS's home). On
 			// per-zone kernels, isolating another zone crosses the kernel
-			// boundary as an asynchronous containment message; on a shared
+			// boundary as an asynchronous containment message; on one
 			// kernel it applies at once.
 			_ = v.Zonal.RequestZoneQuarantine(DomainPowertrain, sourceDomain)
 			return

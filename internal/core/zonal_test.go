@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"autosec/internal/can"
@@ -63,8 +64,13 @@ func TestZonalVehicleTopology(t *testing.T) {
 		t.Fatalf("local domains missing: lin=%d fr=%d eth=%d",
 			len(v.LINClusters), len(v.FlexRayClusters), len(v.Switches))
 	}
-	if _, err := NewVehicle(Config{VIN: "BAD", Seed: 1, Zonal: &ZonalConfig{Zones: 1}}); err == nil {
-		t.Fatal("single-zone build must be rejected")
+	for _, zones := range []int{1, 0, -3} {
+		for _, perZone := range []bool{false, true} {
+			_, err := NewVehicle(Config{VIN: "BAD", Seed: 1, Zonal: &ZonalConfig{Zones: zones, PerZoneKernels: perZone}})
+			if err == nil || !strings.Contains(err.Error(), "needs >= 2 zones") {
+				t.Fatalf("%d-zone build (PerZoneKernels=%v): err = %v, want the zone-count error", zones, perZone, err)
+			}
+		}
 	}
 }
 

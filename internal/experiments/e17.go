@@ -45,8 +45,12 @@ func E17Zonal(seed uint64, p Params) *Table {
 	for _, n := range zoneCounts {
 		topos = append(topos, topo{fmt.Sprintf("%d zones", n), n})
 	}
+	hop := 2 * sim.Microsecond
 	for _, tp := range topos {
-		k := sim.NewKernel(seed)
+		// Every topology runs on one kernel: a one-member group, which the
+		// zonal fabric needs and which behaves exactly like NewKernel(seed).
+		g := sim.NewKernelGroup(seed, ethernet.TunnelLookahead(hop, ethernet.DefaultLinkBps), 1)
+		k := g.Kernel(0)
 		pt := can.NewBus(k, "powertrain-bus", 500_000)
 		ch := can.NewBus(k, "chassis-bus", 500_000)
 		info := can.NewBus(k, "infotainment-bus", 500_000)
@@ -79,7 +83,7 @@ func E17Zonal(seed uint64, p Params) *Table {
 			// the first zone, chassis in the middle, infotainment in the
 			// last, so the attacker's zone never shares a controller with
 			// the flows it threatens.
-			f := zonal.New(k, 2*sim.Microsecond, ethernet.DefaultLinkBps)
+			f := zonal.New(g, hop, ethernet.DefaultLinkBps)
 			zs := make([]*zonal.Zone, tp.zones)
 			for i := range zs {
 				zs[i], _ = f.AddZone(fmt.Sprintf("z%d", i))

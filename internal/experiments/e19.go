@@ -43,8 +43,8 @@ func E19KernelPar(seed uint64, p Params) *Table {
 	}
 	hop := 2 * sim.Microsecond
 	for _, zones := range zoneCounts {
-		g := sim.NewKernelGroup(seed, ethernet.TunnelLookahead(hop, ethernet.DefaultLinkBps))
-		f := zonal.NewPartitioned(g, hop, ethernet.DefaultLinkBps)
+		g := sim.NewKernelGroup(seed, ethernet.TunnelLookahead(hop, ethernet.DefaultLinkBps), zones)
+		f := zonal.New(g, hop, ethernet.DefaultLinkBps)
 		zs := make([]*zonal.Zone, zones)
 		for i := range zs {
 			zs[i], _ = f.AddZone(fmt.Sprintf("z%d", i))

@@ -227,10 +227,11 @@ func selectTraces(all []VehicleTrace, max int) []VehicleTrace {
 // outcomes (installs, rejections, blast radius) as instruments that
 // merge at the barrier alongside the vehicle's own.
 //
-// Tracing requires a shared-kernel build: per-zone-kernel vehicles take
-// per-member tracers that cannot share one flight-recorder ring, so
-// TraceRate > 0 with Cfg.Zonal.PerZoneKernels is an error. Metrics work
-// on every build.
+// Tracing requires a one-kernel build: every vehicle runs on a
+// sim.KernelGroup, and a per-zone-kernel group takes one tracer per
+// member, which cannot share one flight-recorder ring, so TraceRate > 0
+// with Cfg.Zonal.PerZoneKernels is an error. Metrics work on every
+// build.
 func DriveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave, fn func(idx int, v *core.Vehicle, reg *obs.Registry) (T, error)) ([]T, *ObsResult, error) {
 	if d.N <= 0 {
 		return nil, nil, fmt.Errorf("fleet: population must be positive, got %d", d.N)
@@ -241,7 +242,7 @@ func DriveObs[T any](ctx context.Context, d Driver, o ObsOptions, wave Wave, fn 
 	lo, n := wave.Lo, wave.Size()
 	tracing := o.TraceRate > 0
 	if tracing && d.Cfg.Zonal != nil && d.Cfg.Zonal.PerZoneKernels {
-		return nil, nil, fmt.Errorf("fleet: flight recorder requires a shared-kernel build (Zonal.PerZoneKernels is set)")
+		return nil, nil, fmt.Errorf("fleet: flight recorder requires a one-kernel build (Zonal.PerZoneKernels gives each zone its own kernel and tracer)")
 	}
 	workers := d.Workers
 	if workers <= 0 {

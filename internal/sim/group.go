@@ -1,7 +1,11 @@
 // Conservative parallel discrete-event simulation: a KernelGroup runs
-// several Kernels — one per model partition, e.g. one per vehicle zone —
-// and lets them dispatch concurrently while keeping the overall event
-// order byte-deterministic.
+// one or more Kernels — one per model partition, e.g. one per vehicle
+// zone — and lets them dispatch concurrently while keeping the overall
+// event order byte-deterministic. A group of one is the plain serial
+// kernel: it seeds its member with the group seed and dispatches each
+// run as one unbounded window, so it behaves exactly like NewKernel(seed)
+// (TestGroupSingleMemberMatchesKernel). That is what lets every vehicle
+// run on a group, partitioned or not.
 //
 // The synchronization protocol is windowed conservative PDES (the
 // bounded-lag / YAWNS family). The group owns a positive lookahead L:
@@ -12,6 +16,8 @@
 //  1. Horizon: m = min over members of NextEventTime(). The window is
 //     [m, m+L): no member can receive anything new below m+L, because a
 //     message sent by an event at time t >= m arrives at t+L >= m+L.
+//     A group of one has no sender to wait for, so its window is
+//     unbounded.
 //  2. Dispatch: every member drains its events with deadline < m+L, in
 //     parallel. Members never touch each other's state directly;
 //     cross-member effects go through Send, which buffers a timestamped
@@ -38,9 +44,13 @@ import "fmt"
 
 // memberSeed derives member i's kernel seed from the group seed with a
 // splitmix64 finalizer, so member streams are statistically independent
-// and stable under topology growth (the derivation depends only on the
-// index, never on creation order).
-func memberSeed(seed uint64, i int) uint64 {
+// (the derivation depends only on the index). A group of one has no
+// siblings to decorrelate from and seeds its kernel with the group seed
+// itself.
+func memberSeed(seed uint64, i, members int) uint64 {
+	if members == 1 {
+		return seed
+	}
 	z := seed + 0x9E3779B97F4A7C15*uint64(i+1)
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
@@ -79,9 +89,9 @@ func (m *groupMember) alloc() *xMsg {
 	return &xMsg{}
 }
 
-// KernelGroup synchronizes a set of Kernels under a shared lookahead.
-// Construct with NewKernelGroup; create members with Kernel(i). Topology
-// (members, barrier hooks, workers) may only change between runs.
+// KernelGroup synchronizes a fixed set of Kernels under a shared
+// lookahead. Construct with NewKernelGroup. Barrier hooks and workers
+// may only change between runs.
 type KernelGroup struct {
 	seed      uint64
 	lookahead Duration
@@ -96,38 +106,28 @@ type KernelGroup struct {
 	done     chan bool
 }
 
-// NewKernelGroup creates an empty group. lookahead is the minimum
-// virtual-time distance of every cross-member message and must be
-// positive — it is what lets members dispatch a window in parallel.
-func NewKernelGroup(seed uint64, lookahead Duration) *KernelGroup {
+// NewKernelGroup creates a group of members kernels (at least one).
+// lookahead is the minimum virtual-time distance of every cross-member
+// message and must be positive — it is what lets members dispatch a
+// window in parallel.
+func NewKernelGroup(seed uint64, lookahead Duration, members int) *KernelGroup {
 	if lookahead <= 0 {
 		panic("sim: KernelGroup needs a positive lookahead")
 	}
-	return &KernelGroup{seed: seed, lookahead: lookahead, workers: 1}
+	if members < 1 {
+		panic(fmt.Sprintf("sim: KernelGroup needs at least one member, got %d", members))
+	}
+	g := &KernelGroup{seed: seed, lookahead: lookahead, workers: 1, members: make([]*groupMember, members)}
+	for i := range g.members {
+		g.members[i] = &groupMember{k: NewKernel(memberSeed(seed, i, members)), out: make([][]*xMsg, members)}
+	}
+	return g
 }
 
-// Kernel returns member i's kernel, creating members up to index i on
-// first use. Member seeds derive from the group seed and the index, so
-// the same (seed, index) always yields the same stream state regardless
-// of how many members exist. Must not be called while a run is in
-// progress.
-func (g *KernelGroup) Kernel(i int) *Kernel {
-	if i < 0 {
-		panic("sim: negative kernel-group member index")
-	}
-	for len(g.members) <= i {
-		idx := len(g.members)
-		g.members = append(g.members, &groupMember{k: NewKernel(memberSeed(g.seed, idx))})
-	}
-	for _, m := range g.members {
-		for len(m.out) < len(g.members) {
-			m.out = append(m.out, nil)
-		}
-	}
-	return g.members[i].k
-}
+// Kernel returns member i's kernel.
+func (g *KernelGroup) Kernel(i int) *Kernel { return g.members[i].k }
 
-// Members reports how many member kernels exist.
+// Members reports how many member kernels the group runs.
 func (g *KernelGroup) Members() int { return len(g.members) }
 
 // Lookahead reports the group's cross-member lookahead.
@@ -166,13 +166,8 @@ func (g *KernelGroup) Pending() int {
 }
 
 // Now reports member 0's clock (after RunUntil, every member's clock
-// equals the target time). Zero for an empty group.
-func (g *KernelGroup) Now() Time {
-	if len(g.members) == 0 {
-		return 0
-	}
-	return g.members[0].k.Now()
-}
+// equals the target time).
+func (g *KernelGroup) Now() Time { return g.members[0].k.Now() }
 
 // AtBarrier registers a hook the coordinator runs single-threaded after
 // every round's flush, with the round's window limit. Hooks are where
@@ -198,12 +193,15 @@ func (g *KernelGroup) Halt() { g.halted = true }
 //
 // fn runs on the receiving kernel's goroutine; to stay allocation-free,
 // senders should prebind fn once and reuse it (see the pooled message
-// nodes in internal/zonal's partitioned backbone).
+// nodes in internal/zonal's backbone).
 func (g *KernelGroup) Send(from, to int, at Time, fn func()) {
-	s := g.members[from]
+	if from < 0 || from >= len(g.members) {
+		panic(fmt.Sprintf("sim: inter-kernel send from unknown member %d", from))
+	}
 	if to < 0 || to >= len(g.members) {
 		panic(fmt.Sprintf("sim: inter-kernel send to unknown member %d", to))
 	}
+	s := g.members[from]
 	if at < s.k.now+g.lookahead {
 		panic(fmt.Sprintf("sim: inter-kernel message at %v from member %d at %v violates lookahead %v",
 			at, from, s.k.now, g.lookahead))
@@ -305,9 +303,6 @@ func (g *KernelGroup) RunUntil(t Time) error { return g.run(t, false) }
 
 func (g *KernelGroup) run(until Time, drain bool) error {
 	g.halted = false
-	if len(g.members) == 0 {
-		return nil
-	}
 	// Deliver messages buffered between runs (setup-time Sends) so the
 	// first horizon sees them.
 	g.flush()
@@ -330,7 +325,7 @@ func (g *KernelGroup) run(until Time, drain bool) error {
 			break
 		}
 		limit := m + g.lookahead
-		if limit < m { // overflow near Never
+		if limit < m || len(g.members) == 1 { // overflow near Never, or no sibling to wait for
 			limit = Never
 		}
 		if !drain {
@@ -365,15 +360,16 @@ func (g *KernelGroup) run(until Time, drain bool) error {
 }
 
 // Reset rewinds every member kernel to time zero under seeds derived
-// from the new group seed, recycles any undelivered cross-member
-// messages, and clears the halt flag. Barrier hooks and workers are
-// construction wiring and survive — the group analogue of Kernel.Reset,
-// and what core.VehiclePool leans on to recycle parallel vehicles.
+// from the new group seed exactly as NewKernelGroup derives them,
+// recycles any undelivered cross-member messages, and clears the halt
+// flag. Barrier hooks and workers are construction wiring and survive —
+// the group analogue of Kernel.Reset, and what core.VehiclePool leans on
+// to recycle vehicles.
 func (g *KernelGroup) Reset(seed uint64) {
 	g.seed = seed
 	g.halted = false
 	for i, m := range g.members {
-		m.k.Reset(memberSeed(seed, i))
+		m.k.Reset(memberSeed(seed, i, len(g.members)))
 		for d, box := range m.out {
 			for j, msg := range box {
 				msg.fn = nil

@@ -22,11 +22,10 @@ func runGroupOrderingScript(data []byte, workers int) string {
 	}
 	members := 2 + int(data[0])%6
 	lookahead := Duration(1 + int(data[1]))
-	g := NewKernelGroup(uint64(len(data)), lookahead)
+	g := NewKernelGroup(uint64(len(data)), lookahead, members)
 	logs := make([]*[]string, members)
 	for i := 0; i < members; i++ {
 		logs[i] = &[]string{}
-		g.Kernel(i)
 	}
 
 	var chain func(member, depth int, jitter Duration)

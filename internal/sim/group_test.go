@@ -23,16 +23,24 @@ func (r *groupRng) next() uint64 {
 
 func (r *groupRng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// TestGroupSingleMemberMatchesKernel pins the degenerate case: a group
-// of one behaves exactly like its member kernel driven directly, since
-// no message ever crosses a boundary and windows cover the whole queue.
+// TestGroupSingleMemberMatchesKernel pins the degenerate case every
+// unpartitioned vehicle runs on: a group of one seeded s behaves exactly
+// like NewKernel(s) — same event log, clock, step count and stream draws
+// — under RunUntil, Run, an in-event Halt, and after Reset(s'), since no
+// message ever crosses a boundary and each run is one unbounded window.
 func TestGroupSingleMemberMatchesKernel(t *testing.T) {
-	runScript := func(k *Kernel, runUntil func(Time)) []string {
+	// script schedules a cascade that draws from a named stream at every
+	// step and halts itself at haltAt (0 = never), then drives it with
+	// runUntil (or run when until is Never) and fingerprints the result.
+	script := func(k *Kernel, runUntil func(Time) error, run func() error, until, haltAt Time) string {
 		var log []string
 		var chain func(depth int) func()
 		chain = func(depth int) func() {
 			return func() {
-				log = append(log, fmt.Sprintf("%d@%d", depth, k.Now()))
+				log = append(log, fmt.Sprintf("%d@%d r%d", depth, k.Now(), k.Stream("chain").Uint64()%1000))
+				if k.Now() == haltAt {
+					k.Halt()
+				}
 				if depth < 5 {
 					k.After(Duration(10*(depth+1)), chain(depth+1))
 				}
@@ -41,20 +49,46 @@ func TestGroupSingleMemberMatchesKernel(t *testing.T) {
 		k.At(3, chain(0))
 		k.At(3, chain(2))
 		k.At(7, chain(1))
-		runUntil(400)
-		log = append(log, fmt.Sprintf("end now=%d steps=%d", k.Now(), k.Steps()))
-		return log
+		var err error
+		if until == Never {
+			err = run()
+		} else {
+			err = runUntil(until)
+		}
+		log = append(log, fmt.Sprintf("end err=%v now=%d steps=%d pending=%d draw=%d",
+			err, k.Now(), k.Steps(), k.Pending(), k.Stream("after").Uint64()))
+		return strings.Join(log, "\n")
 	}
-
-	g := NewKernelGroup(42, 50)
-	gk := g.Kernel(0)
-	got := runScript(gk, func(t Time) { _ = g.RunUntil(t) })
-
-	ref := NewKernel(memberSeed(42, 0))
-	want := runScript(ref, func(t Time) { _ = ref.RunUntil(t) })
-
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("single-member group diverged from plain kernel:\ngroup: %v\nkernel: %v", got, want)
+	cases := []struct {
+		name          string
+		until, haltAt Time
+	}{
+		{"RunUntil", 400, 0},
+		{"RunUntilMidCascade", 40, 0},
+		{"Run", Never, 0},
+		{"Halt", 400, 33},
+		{"RunHalt", Never, 33},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := NewKernelGroup(42, 50, 1)
+			ref := NewKernel(42)
+			for _, seed := range []uint64{42, 7} {
+				if seed != 42 {
+					g.Reset(seed)
+					ref.Reset(seed)
+				}
+				got := script(g.Kernel(0), g.RunUntil, g.Run, c.until, c.haltAt)
+				want := script(ref, ref.RunUntil, ref.Run, c.until, c.haltAt)
+				if got != want {
+					t.Fatalf("seed %d: single-member group diverged from NewKernel:\n--- group\n%s\n--- kernel\n%s", seed, got, want)
+				}
+				if g.Now() != ref.Now() || g.Steps() != ref.Steps() || g.Pending() != ref.Pending() {
+					t.Fatalf("seed %d: group now/steps/pending %d/%d/%d, kernel %d/%d/%d",
+						seed, g.Now(), g.Steps(), g.Pending(), ref.Now(), ref.Steps(), ref.Pending())
+				}
+			}
+		})
 	}
 }
 
@@ -133,7 +167,7 @@ func TestGroupSerialParallelEquivalence(t *testing.T) {
 		seed := r.next()
 
 		run := func(workers int) string {
-			g := NewKernelGroup(seed, lookahead)
+			g := NewKernelGroup(seed, lookahead, members)
 			rr := r // copy: both runs consume identical topology draws
 			logs := buildGroupScenario(g, members, &rr)
 			g.SetWorkers(workers)
@@ -159,7 +193,7 @@ func TestGroupSerialParallelEquivalence(t *testing.T) {
 // exactly t dispatch, later events stay queued, and every member clock
 // lands on t — so a subsequent RunUntil(t') starts all members aligned.
 func TestGroupRunUntilAdvancesClocks(t *testing.T) {
-	g := NewKernelGroup(1, 10)
+	g := NewKernelGroup(1, 10, 3)
 	var fired []string
 	for i := 0; i < 3; i++ {
 		i := i
@@ -192,9 +226,7 @@ func TestGroupRunUntilAdvancesClocks(t *testing.T) {
 // between runs (coordinator-side Sends) flush before the first horizon
 // computation, even when the receiver's queue is otherwise empty.
 func TestGroupSetupSendDeliveredOnNextRun(t *testing.T) {
-	g := NewKernelGroup(1, 10)
-	g.Kernel(0)
-	g.Kernel(1)
+	g := NewKernelGroup(1, 10, 2)
 	delivered := false
 	g.Send(0, 1, 10, func() { delivered = true })
 	if err := g.RunUntil(20); err != nil {
@@ -212,9 +244,7 @@ func TestGroupSetupSendDeliveredOnNextRun(t *testing.T) {
 // lookahead could land inside a window another member already
 // dispatched, so Send must refuse it loudly.
 func TestGroupSendLookaheadViolationPanics(t *testing.T) {
-	g := NewKernelGroup(1, 100)
-	g.Kernel(0)
-	g.Kernel(1)
+	g := NewKernelGroup(1, 100, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Send below the lookahead horizon did not panic")
@@ -223,10 +253,36 @@ func TestGroupSendLookaheadViolationPanics(t *testing.T) {
 	g.Send(0, 1, 99, func() {})
 }
 
+// TestGroupSendUnknownMemberPanics: Send names both endpoints by member
+// index, and an out-of-range sender or receiver is a model bug reported
+// with a descriptive sim: panic, not a bare runtime index error.
+func TestGroupSendUnknownMemberPanics(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		from, to int
+		want     string
+	}{
+		{"from", 2, 0, "sim: inter-kernel send from unknown member 2"},
+		{"negative-from", -1, 0, "sim: inter-kernel send from unknown member -1"},
+		{"to", 0, 5, "sim: inter-kernel send to unknown member 5"},
+		{"negative-to", 1, -1, "sim: inter-kernel send to unknown member -1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := NewKernelGroup(1, 100, 2)
+			defer func() {
+				if got, _ := recover().(string); got != c.want {
+					t.Fatalf("panic = %q, want %q", got, c.want)
+				}
+			}()
+			g.Send(c.from, c.to, 1000, func() {})
+		})
+	}
+}
+
 // TestGroupHalt: a member halting mid-window stops the group at the
 // round boundary with ErrHalted, leaving undispatched events queued.
 func TestGroupHalt(t *testing.T) {
-	g := NewKernelGroup(1, 10)
+	g := NewKernelGroup(1, 10, 2)
 	k0 := g.Kernel(0)
 	g.Kernel(1).At(5000, func() { t.Fatal("event beyond the halt round fired") })
 	k0.At(10, func() { k0.Halt() })
@@ -249,20 +305,14 @@ func TestGroupResetEquivalence(t *testing.T) {
 		return groupFingerprint(g, logs)
 	}
 
-	reused := NewKernelGroup(7, 40)
-	for i := 0; i < 4; i++ {
-		reused.Kernel(i)
-	}
+	reused := NewKernelGroup(7, 40, 4)
 	// Dirty the group: run one scenario, leave messages buffered.
 	_ = run(reused, 7)
 	reused.Send(0, 1, reused.Kernel(0).Now()+40, func() { panic("stale message survived Reset") })
 	reused.Reset(99)
 	got := run(reused, 99)
 
-	fresh := NewKernelGroup(99, 40)
-	for i := 0; i < 4; i++ {
-		fresh.Kernel(i)
-	}
+	fresh := NewKernelGroup(99, 40, 4)
 	want := run(fresh, 99)
 
 	if got != want {
@@ -274,7 +324,7 @@ func TestGroupResetEquivalence(t *testing.T) {
 // flush with a non-decreasing window limit, and observe all events the
 // round dispatched (the property the vehicle audit-chain merge needs).
 func TestGroupBarrierHookOrdering(t *testing.T) {
-	g := NewKernelGroup(3, 25)
+	g := NewKernelGroup(3, 25, 2)
 	var dispatched [2]int
 	for i := 0; i < 2; i++ {
 		i := i
@@ -313,7 +363,7 @@ func TestGroupBarrierHookOrdering(t *testing.T) {
 // round-trip, with prebound message callbacks (the discipline the zonal
 // backbone follows). CI gates on this test.
 func TestGroupMailboxSteadyStateAllocs(t *testing.T) {
-	g := NewKernelGroup(1, 100)
+	g := NewKernelGroup(1, 100, 2)
 	k0, k1 := g.Kernel(0), g.Kernel(1)
 	var ping, pong func()
 	ping = func() { g.Send(1, 0, k1.Now()+100, pong) } // runs on member 1
@@ -341,7 +391,7 @@ func TestGroupMailboxSteadyStateAllocs(t *testing.T) {
 // (two Sends + two flush injections per iteration window). CI runs it
 // with the 0 allocs/op gate.
 func BenchmarkGroupMailbox(b *testing.B) {
-	g := NewKernelGroup(1, 100)
+	g := NewKernelGroup(1, 100, 2)
 	k0, k1 := g.Kernel(0), g.Kernel(1)
 	var ping, pong func()
 	ping = func() { g.Send(1, 0, k1.Now()+100, pong) }

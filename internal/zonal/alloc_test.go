@@ -47,8 +47,8 @@ func (p *stubPort) OnReceive(fn netif.RecvFunc) { p.recv = fn }
 // stub CAN domain, and an allow-everything cross-zone rule set.
 func zonalRig(t testing.TB) (k *sim.Kernel, aIn, bIn *stubPort) {
 	t.Helper()
-	k = sim.NewKernel(1)
-	f := New(k, 2*sim.Microsecond, ethernet.DefaultLinkBps)
+	g, k := oneKernel(1, 2*sim.Microsecond)
+	f := New(g, 2*sim.Microsecond, ethernet.DefaultLinkBps)
 	za, err := f.AddZone("a")
 	if err != nil {
 		t.Fatal(err)

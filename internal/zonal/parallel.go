@@ -1,29 +1,31 @@
-// The zonal backbone, and partitioned fabrics that run one sim.Kernel
-// per zone.
+// The zonal backbone, and how it crosses kernel boundaries.
 //
-// Every fabric models its backbone as a store-and-forward switch: a
-// frame sent by one zone floods to every other zone, arriving
-// ingress-serialization + switch-hop + egress-serialization after the
-// send (ethernet.WireDuration timing, the same arithmetic as the
-// ethernet.Switch model). A shared-kernel fabric schedules each arrival
-// on its one kernel; a partitioned fabric sends it through a
-// conservative sim.KernelGroup, with the backbone as the kernel
-// boundary. That last call is the only difference between the flavors,
-// so both deliver every frame at the same virtual instant.
+// The backbone is modelled as a store-and-forward switch: a frame sent
+// by one zone floods to every other zone, arriving ingress-serialization
+// + switch-hop + egress-serialization after the send
+// (ethernet.WireDuration timing, the same arithmetic as the
+// ethernet.Switch model). Every fabric runs its zones on a
+// sim.KernelGroup, and the backbone is where zones on different members
+// meet: an arrival at a zone on the sender's own kernel is scheduled
+// there directly, and an arrival at a zone on another member goes
+// through the group's conservative mailbox. That choice is the only
+// difference between a one-member fabric and a per-zone-kernel one, so
+// both deliver every frame at the same virtual instant.
 //
-// On a partitioned fabric each zone's gateway, local media and workloads
-// live entirely on that zone's kernel, and the only cross-kernel
-// interaction is a backbone crossing. Because no frame can cross faster
-// than the minimum-size crossing, ethernet.TunnelLookahead(hop, linkBps)
-// bounds every message distance and serves as the group's lookahead:
-// zones dispatch whole windows of intra-zone events in parallel without
-// ever seeing a cross-zone frame arrive in their past.
+// With one member per zone, each zone's gateway, local media and
+// workloads live entirely on that zone's kernel, and the only
+// cross-kernel interaction is a backbone crossing. Because no frame can
+// cross faster than the minimum-size crossing,
+// ethernet.TunnelLookahead(hop, linkBps) bounds every message distance
+// and serves as the group's lookahead: zones dispatch whole windows of
+// intra-zone events in parallel without ever seeing a cross-zone frame
+// arrive in their past.
 //
 // The crossing is allocation-free in steady state: frame payloads copy
 // into pooled message nodes (netif.Frame.CopyInto reuses each node's
 // buffer), delivery callbacks are prebound once per node, and the
-// per-port node pools are mutex-guarded because on a partitioned fabric
-// a node is minted by the sending zone's goroutine and recycled by the
+// per-port node pools are mutex-guarded because across kernels a node
+// is minted by the sending zone's goroutine and recycled by the
 // receiving zone's.
 package zonal
 
@@ -37,38 +39,19 @@ import (
 	"autosec/internal/sim"
 )
 
-// NewPartitioned creates a fabric whose zones run on per-zone kernels of
-// g: zone i's gateway binds to g.Kernel(i), and the backbone becomes the
-// kernel boundary. hop and linkBps parameterize the modelled backbone
-// switch, as for New. g's lookahead must not exceed the minimum
-// backbone crossing time, or windows could outrun in-flight frames.
-func NewPartitioned(g *sim.KernelGroup, hop sim.Duration, linkBps int64) *Fabric {
-	if min := ethernet.TunnelLookahead(hop, linkBps); g.Lookahead() > min {
-		panic("zonal: kernel-group lookahead exceeds the minimum backbone crossing time")
-	}
-	return &Fabric{
-		group:      g,
-		hop:        hop,
-		linkBps:    linkBps,
-		byName:     make(map[string]*Zone),
-		domainZone: make(map[string]*Zone),
-	}
-}
-
-// Kernel returns the kernel the zone runs on: its member kernel in a
-// partitioned fabric, the shared fabric kernel otherwise. Local media
-// attached to the zone must be built on this kernel.
+// Kernel returns the kernel the zone runs on, its kernel-group member's.
+// Local media attached to the zone must be built on this kernel.
 func (z *Zone) Kernel() *sim.Kernel { return z.k }
 
-// Member returns the zone's index in creation order, which on a
-// partitioned fabric is its kernel-group member.
+// Member returns the zone's kernel-group member: its creation index
+// modulo the group size.
 func (z *Zone) Member() int { return z.member }
 
 // BackboneFramesTotal reports every frame the backbone carried (tunnel
 // frames and native Ethernet alike) — the backbone-load metric — as the
 // sum of per-zone egress counters. The counters are per-zone so the
-// partitioned hot path never shares a cache line across kernels; on a
-// partitioned fabric read totals only between runs.
+// hot path never shares a cache line across kernels; on a fabric with
+// several kernels read totals only between runs.
 func (f *Fabric) BackboneFramesTotal() int64 {
 	var n int64
 	for _, bn := range f.bb {
@@ -81,7 +64,7 @@ func (f *Fabric) BackboneFramesTotal() int64 {
 // and delivered locally. With broadcast flooding every inter-zone frame
 // reaches all other zones, so this scales as (zones-1) per forwarded
 // frame — the flooding cost E17 measures. Read only between runs on
-// partitioned fabrics.
+// fabrics with several kernels.
 func (f *Fabric) BackboneDeliveriesTotal() int64 {
 	var n int64
 	for _, z := range f.zones {
@@ -92,14 +75,13 @@ func (f *Fabric) BackboneDeliveriesTotal() int64 {
 
 // RequestZoneQuarantine isolates the zone owning targetDomain, requested
 // from the zone owning fromDomain — the cross-zone containment reflex
-// (an IDS in one zone cutting another zone's uplink). On a shared-kernel
-// fabric, or when both domains share a zone, it applies immediately; on
-// a partitioned fabric the request crosses the kernel boundary as a
-// timestamped control message and takes effect one backbone lookahead
-// later, which is also what keeps it deterministic at any parallelism.
-// Both domains must be known on either flavor (errors wrap ErrUnknown).
-// Callable from an event on the requesting zone's kernel, or between
-// runs.
+// (an IDS in one zone cutting another zone's uplink). When both zones
+// run on one kernel it applies immediately; otherwise the request
+// crosses the kernel boundary as a timestamped control message and takes
+// effect one backbone lookahead later, which is also what keeps it
+// deterministic at any parallelism. Both domains must be known (errors
+// wrap ErrUnknown). Callable from an event on the requesting zone's
+// kernel, or between runs.
 func (f *Fabric) RequestZoneQuarantine(fromDomain, targetDomain string) error {
 	sz, ok := f.domainZone[fromDomain]
 	if !ok {
@@ -109,7 +91,7 @@ func (f *Fabric) RequestZoneQuarantine(fromDomain, targetDomain string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknown, targetDomain)
 	}
-	if f.group == nil || sz == tz {
+	if sz.member == tz.member {
 		return f.QuarantineZone(tz.Name)
 	}
 	f.group.Send(sz.member, tz.member, sz.k.Now()+f.group.Lookahead(), tz.quarantineFn)
@@ -122,10 +104,10 @@ func (f *Fabric) RequestZoneQuarantine(fromDomain, targetDomain string) error {
 // are never unicast targets, so a learning switch would flood them too),
 // each copy riding a pooled message node.
 type backboneNet struct {
-	fab    *Fabric
-	member int
-	port   *backbonePort
-	taps   []netif.TapFunc
+	fab  *Fabric
+	zone int // index of the owning zone
+	port *backbonePort
+	taps []netif.TapFunc
 }
 
 func (m *backboneNet) Kind() netif.Kind { return netif.Ethernet }
@@ -167,30 +149,29 @@ func (p *backbonePort) OnReceive(fn netif.RecvFunc) { p.recv = fn }
 // Send floods the frame to every other zone. The arrival instant is
 // identical for all destinations — send + ingress serialization + hop +
 // egress serialization, store-and-forward switch timing — and is always
-// at least a partitioned group's lookahead away, because the lookahead
-// is derived from the minimum-size crossing.
+// at least the group's lookahead away, because the lookahead is derived
+// from the minimum-size crossing.
 func (p *backbonePort) Send(f *netif.Frame) error {
 	fab := p.net.fab
-	src := p.net.member
-	now := fab.zones[src].k.Now()
+	src := fab.zones[p.net.zone]
+	now := src.k.Now()
 	p.frames.Inc()
 	for _, tap := range p.net.taps {
 		tap(now, f, false)
 	}
 	serial := ethernet.WireDuration(len(f.Payload), fab.linkBps)
 	at := now + serial + fab.hop + serial
-	for di := range fab.bb {
-		if di == src {
+	for di, dz := range fab.zones {
+		if di == p.net.zone {
 			continue
 		}
-		dst := fab.bb[di].port
-		m := dst.allocMsg()
+		m := fab.bb[di].port.allocMsg()
 		m.at = at
 		f.CopyInto(&m.frame)
-		if fab.group == nil {
-			fab.kernel.At(at, m.fn)
+		if dz.member == src.member {
+			dz.k.At(at, m.fn)
 		} else {
-			fab.group.Send(src, di, at, m.fn)
+			fab.group.Send(src.member, dz.member, at, m.fn)
 		}
 	}
 	return nil

@@ -46,29 +46,25 @@ func (m *recMedium) Open(name string) (netif.Port, error) {
 }
 
 // zoneRig is one comparable zonal build: n zones, one recording CAN
-// domain per zone, allow-everything routing. Shared-kernel and
-// partitioned flavors use the identical topology and the identical
-// modelled backbone (2us store-and-forward switch on 100 Mbit/s links).
+// domain per zone, allow-everything routing. One-kernel and per-zone-kernel
+// rigs use the identical topology and the identical modelled backbone
+// (2us store-and-forward switch on 100 Mbit/s links).
 type zoneRig struct {
 	fab  *Fabric
-	g    *sim.KernelGroup // nil on the shared flavor
-	k    *sim.Kernel      // shared kernel (nil on the partitioned flavor)
-	ins  []*recPort       // per-zone local-domain endpoints
-	logs []*[]string      // per-zone delivery logs, zone order
+	g    *sim.KernelGroup
+	ins  []*recPort  // per-zone local-domain endpoints
+	logs []*[]string // per-zone delivery logs, zone order
 }
 
 const rigHop = 2 * sim.Microsecond
 
-func newZoneRig(t testing.TB, zones int, partitioned bool, seed uint64) *zoneRig {
+// newZoneRig builds the rig on a kernel group of the given size: 1 runs
+// every zone on one kernel, zones gives each zone its own, and anything
+// between places zone i on member i % members.
+func newZoneRig(t testing.TB, zones, members int, seed uint64) *zoneRig {
 	t.Helper()
-	r := &zoneRig{}
-	if partitioned {
-		r.g = sim.NewKernelGroup(seed, ethernet.TunnelLookahead(rigHop, ethernet.DefaultLinkBps))
-		r.fab = NewPartitioned(r.g, rigHop, ethernet.DefaultLinkBps)
-	} else {
-		r.k = sim.NewKernel(seed)
-		r.fab = New(r.k, rigHop, ethernet.DefaultLinkBps)
-	}
+	r := &zoneRig{g: sim.NewKernelGroup(seed, ethernet.TunnelLookahead(rigHop, ethernet.DefaultLinkBps), members)}
+	r.fab = New(r.g, rigHop, ethernet.DefaultLinkBps)
 	for i := 0; i < zones; i++ {
 		z, err := r.fab.AddZone(fmt.Sprintf("z%d", i))
 		if err != nil {
@@ -99,13 +95,7 @@ func (r *zoneRig) inject(i int, t sim.Time, id uint32, pay byte) {
 
 func (r *zoneRig) run(t testing.TB) {
 	t.Helper()
-	var err error
-	if r.g != nil {
-		err = r.g.Run()
-	} else {
-		err = r.k.Run()
-	}
-	if err != nil {
+	if err := r.g.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,22 +131,27 @@ func collisionFreeWorkload(r *zoneRig, zones, reps int) {
 	}
 }
 
-// TestPartitionedMatchesSharedBackboneTiming pins the partitioned fabric
-// to the shared-kernel one: the same topology, rules and collision-free
-// workload must deliver every frame to every zone at the same virtual
-// instant, with the same backbone frame and delivery counts. (The
+// TestPartitionedMatchesSharedBackboneTiming pins a fabric on per-zone
+// kernels — and one with two zones per kernel, which mixes same-kernel
+// and cross-kernel arrivals — to one on a single kernel: the same
+// topology, rules and collision-free workload must deliver every frame
+// to every zone at the same virtual instant, with the same backbone
+// frame and delivery counts. (The
 // backbone's timing against the ethernet.Switch model is pinned by
 // TestBackboneMatchesSwitchModel.)
 func TestPartitionedMatchesSharedBackboneTiming(t *testing.T) {
 	const zones, reps = 4, 6
-	shared := newZoneRig(t, zones, false, 7)
-	part := newZoneRig(t, zones, true, 7)
+	shared := newZoneRig(t, zones, 1, 7)
 	collisionFreeWorkload(shared, zones, reps)
-	collisionFreeWorkload(part, zones, reps)
 	shared.run(t)
-	part.run(t)
-	if s, p := shared.fingerprint(), part.fingerprint(); s != p {
-		t.Fatalf("partitioned fabric diverged from shared-kernel fabric:\n--- shared\n%s\n--- partitioned\n%s", s, p)
+	want := shared.fingerprint()
+	for _, members := range []int{zones, 2} {
+		part := newZoneRig(t, zones, members, 7)
+		collisionFreeWorkload(part, zones, reps)
+		part.run(t)
+		if p := part.fingerprint(); p != want {
+			t.Fatalf("%d-member fabric diverged from one-kernel fabric:\n--- one kernel\n%s\n--- %d members\n%s", members, want, members, p)
+		}
 	}
 }
 
@@ -166,7 +161,7 @@ func TestPartitionedMatchesSharedBackboneTiming(t *testing.T) {
 func TestPartitionedSerialParallelEquivalence(t *testing.T) {
 	const zones, reps = 5, 8
 	build := func(workers int) string {
-		r := newZoneRig(t, zones, true, 99)
+		r := newZoneRig(t, zones, zones, 99)
 		for i := 0; i < zones; i++ {
 			for j := 0; j < reps; j++ {
 				// Deliberate time collisions across zones: determinism must
@@ -200,9 +195,10 @@ func TestPartitionedSerialParallelEquivalence(t *testing.T) {
 // asynchronous containment request: it takes effect exactly one backbone
 // lookahead after the requesting zone's now — frames crossing before that
 // instant still deliver, frames after it are dropped at the target's
-// uplink. Both fabric flavors reject unknown domains alike.
+// uplink. One-kernel and per-zone-kernel fabrics reject unknown domains
+// alike.
 func TestRequestZoneQuarantineCrossKernel(t *testing.T) {
-	r := newZoneRig(t, 3, true, 5)
+	r := newZoneRig(t, 3, 3, 5)
 	// Two frames from zone 0 to everyone: one whose backbone arrival
 	// precedes the quarantine instant, one injected after it.
 	r.inject(0, 1_000_000, 0x111, 1)
@@ -222,17 +218,17 @@ func TestRequestZoneQuarantineCrossKernel(t *testing.T) {
 		t.Fatalf("zone 1 deliveries = %q, want both frames", *r.logs[1])
 	}
 	// Unknown domains are reported, not panicked, and quarantine nothing.
-	for _, partitioned := range []bool{false, true} {
-		r := newZoneRig(t, 3, partitioned, 5)
+	for _, members := range []int{1, 3} {
+		r := newZoneRig(t, 3, members, 5)
 		if err := r.fab.RequestZoneQuarantine("d0", "nope"); !errors.Is(err, ErrUnknown) {
-			t.Fatalf("partitioned=%v: unknown target domain: err = %v, want ErrUnknown", partitioned, err)
+			t.Fatalf("members=%d: unknown target domain: err = %v, want ErrUnknown", members, err)
 		}
 		if err := r.fab.RequestZoneQuarantine("nope", "d0"); !errors.Is(err, ErrUnknown) {
-			t.Fatalf("partitioned=%v: unknown source domain: err = %v, want ErrUnknown", partitioned, err)
+			t.Fatalf("members=%d: unknown source domain: err = %v, want ErrUnknown", members, err)
 		}
 		r.run(t)
 		if r.fab.ZoneQuarantined("z0") {
-			t.Fatalf("partitioned=%v: rejected request quarantined z0", partitioned)
+			t.Fatalf("members=%d: rejected request quarantined z0", members)
 		}
 	}
 }
@@ -241,7 +237,7 @@ func TestRequestZoneQuarantineCrossKernel(t *testing.T) {
 // partitioned fabric: group reset + fabric reset must replay a workload
 // byte-identically to the first run, with all backbone counters rewound.
 func TestPartitionedResetEquivalence(t *testing.T) {
-	r := newZoneRig(t, 4, true, 11)
+	r := newZoneRig(t, 4, 4, 11)
 	r.fab.MarkBaseline()
 	workload := func() {
 		collisionFreeWorkload(r, 4, 5)
@@ -274,25 +270,25 @@ func TestPartitionedResetEquivalence(t *testing.T) {
 	}
 }
 
-// TestNewPartitionedRejectsExcessiveLookahead pins the constructor guard:
-// a group promising more lookahead than the minimum backbone crossing
-// would let zones outrun in-flight frames.
-func TestNewPartitionedRejectsExcessiveLookahead(t *testing.T) {
+// TestNewRejectsExcessiveLookahead pins the constructor guard: a group
+// promising more lookahead than the minimum backbone crossing would let
+// zones outrun in-flight frames.
+func TestNewRejectsExcessiveLookahead(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewPartitioned accepted a lookahead past the minimum crossing time")
+			t.Fatal("New accepted a lookahead past the minimum crossing time")
 		}
 	}()
-	g := sim.NewKernelGroup(1, ethernet.TunnelLookahead(rigHop, ethernet.DefaultLinkBps)+1)
-	NewPartitioned(g, rigHop, ethernet.DefaultLinkBps)
+	g := sim.NewKernelGroup(1, ethernet.TunnelLookahead(rigHop, ethernet.DefaultLinkBps)+1, 2)
+	New(g, rigHop, ethernet.DefaultLinkBps)
 }
 
 // partAllocRig builds a two-zone partitioned fabric over stub local media
 // with recurring cross-zone traffic on both zones' kernels.
 func partAllocRig(t testing.TB) (*sim.KernelGroup, *Fabric) {
 	t.Helper()
-	g := sim.NewKernelGroup(3, ethernet.TunnelLookahead(rigHop, ethernet.DefaultLinkBps))
-	f := NewPartitioned(g, rigHop, ethernet.DefaultLinkBps)
+	g := sim.NewKernelGroup(3, ethernet.TunnelLookahead(rigHop, ethernet.DefaultLinkBps), 2)
+	f := New(g, rigHop, ethernet.DefaultLinkBps)
 	var ins []*stubPort
 	for i := 0; i < 2; i++ {
 		z, err := f.AddZone(fmt.Sprintf("z%d", i))
@@ -371,7 +367,7 @@ func BenchmarkZonalPartitioned(b *testing.B) {
 // total.
 func TestInstrumentZonesPerZoneProbes(t *testing.T) {
 	const zones = 3
-	r := newZoneRig(t, zones, true, 7)
+	r := newZoneRig(t, zones, zones, 7)
 	reg := obs.NewRegistry()
 	r.fab.InstrumentZones(nil, reg)
 	collisionFreeWorkload(r, zones, 2)

@@ -30,15 +30,16 @@
 //
 // The steady-state inter-zone forward path allocates nothing: egress
 // encapsulation and ingress decapsulation reuse the per-domain scratch
-// buffers every gateway already carries, and the backbone (one model for
-// shared-kernel and per-zone-kernel fabrics; see backboneNet) reuses
-// pooled message nodes (see TestInterZoneSteadyStateAllocs).
+// buffers every gateway already carries, and the backbone (see
+// backboneNet) reuses pooled message nodes (see
+// TestInterZoneSteadyStateAllocs).
 package zonal
 
 import (
 	"errors"
 	"fmt"
 
+	"autosec/internal/ethernet"
 	"autosec/internal/gateway"
 	"autosec/internal/netif"
 	"autosec/internal/obs"
@@ -75,9 +76,8 @@ type Zone struct {
 	fab    *Fabric
 	locals []string // local domain names in attach order
 
-	// k is the kernel the zone runs on: the shared fabric kernel, or the
-	// zone's own group member in a partitioned fabric. member is the
-	// zone's index, which is also its kernel-group member.
+	// k is the kernel the zone runs on: kernel-group member `member`,
+	// which is the zone's index modulo the group size.
 	k      *sim.Kernel
 	member int
 
@@ -102,10 +102,8 @@ type ObserveFunc func(at sim.Time, zone, from string, f *netif.Frame, verdict st
 // over it, the leaf-domain directory and the logical rule set the
 // per-zone shards compile from.
 type Fabric struct {
-	// kernel runs every zone of a shared-kernel fabric; group (nil on
-	// shared-kernel fabrics) runs one kernel per zone.
-	kernel *sim.Kernel
-	group  *sim.KernelGroup
+	// group runs the zones, zone i on member i % group.Members().
+	group *sim.KernelGroup
 
 	// The modelled backbone switch parameters, and one backboneNet per
 	// zone (index = zone index).
@@ -150,13 +148,21 @@ func (f *Fabric) inName(rule string) string {
 	return s
 }
 
-// New creates a fabric whose zones all run on k, bridged by a modelled
-// store-and-forward backbone switch with the given hop latency and link
-// speed (2*sim.Microsecond and ethernet.DefaultLinkBps for the standard
-// vehicle build).
-func New(k *sim.Kernel, hop sim.Duration, linkBps int64) *Fabric {
+// New creates a fabric whose zones run on the members of g — zone i on
+// member i % g.Members() — bridged by a modelled store-and-forward
+// backbone switch with the given hop latency and link speed
+// (2*sim.Microsecond and ethernet.DefaultLinkBps for the standard
+// vehicle build). A one-member group runs every zone on one kernel; a
+// group with one member per zone makes the backbone the kernel
+// boundary. g's lookahead must not exceed the minimum backbone crossing
+// time (ethernet.TunnelLookahead), or windows could outrun in-flight
+// frames.
+func New(g *sim.KernelGroup, hop sim.Duration, linkBps int64) *Fabric {
+	if min := ethernet.TunnelLookahead(hop, linkBps); g.Lookahead() > min {
+		panic("zonal: kernel-group lookahead exceeds the minimum backbone crossing time")
+	}
 	return &Fabric{
-		kernel:     k,
+		group:      g,
 		hop:        hop,
 		linkBps:    linkBps,
 		byName:     make(map[string]*Zone),
@@ -172,12 +178,10 @@ func (f *Fabric) AddZone(name string) (*Zone, error) {
 	if _, dup := f.byName[name]; dup {
 		return nil, fmt.Errorf("%w: %s", ErrDupZone, name)
 	}
-	z := &Zone{Name: name, fab: f, k: f.kernel, member: len(f.zones)}
-	if f.group != nil {
-		z.k = f.group.Kernel(z.member)
-	}
+	m := len(f.zones) % f.group.Members()
+	z := &Zone{Name: name, fab: f, k: f.group.Kernel(m), member: m}
 	z.quarantineFn = func() { z.GW.Quarantine(BackboneDomain) }
-	bn := &backboneNet{fab: f, member: z.member}
+	bn := &backboneNet{fab: f, zone: len(f.zones)}
 	z.GW = gateway.New(z.k, name)
 	z.GW.DefaultAction = f.defaultAction
 	if err := z.GW.AttachDomain(BackboneDomain, bn); err != nil {
@@ -185,8 +189,9 @@ func (f *Fabric) AddZone(name string) (*Zone, error) {
 	}
 	f.bb = append(f.bb, bn)
 	// Every zone counts its own backbone ingress: only this zone's kernel
-	// writes the counter, so partitioned fabrics never contend on a shared
-	// word, and per-zone observability probes have a value to read.
+	// writes the counter, so zones on different kernels never contend on
+	// a shared word, and per-zone observability probes have a value to
+	// read.
 	z.GW.Observe(func(at sim.Time, from string, fr *netif.Frame, verdict string) {
 		if from == BackboneDomain && len(verdict) >= 5 && verdict[:5] == "allow" {
 			z.bbDeliveries.Inc()
@@ -330,33 +335,31 @@ func (f *Fabric) ReleaseDomain(domain string) error {
 func (f *Fabric) Observe(fn ObserveFunc) { f.observers = append(f.observers, fn) }
 
 // Instrument attaches every zone gateway and the fabric counters to the
-// observability layer, all zones sharing one tracer. A partitioned fabric
-// rejects a shared tracer: its zones run on concurrent kernels and one
-// trace ring cannot take interleaved appends — use InstrumentZones with
-// per-zone tracers.
+// observability layer, all zones sharing one tracer: InstrumentZones
+// with one tracer for member 0. A fabric on several kernels rejects a
+// shared tracer: its zones dispatch concurrently and one trace ring
+// cannot take interleaved appends — use InstrumentZones with per-member
+// tracers.
 func (f *Fabric) Instrument(tr *obs.Tracer, reg *obs.Registry) {
-	if f.group != nil && tr != nil {
-		panic("zonal: shared tracer on a partitioned fabric; use InstrumentZones")
+	if tr != nil && f.group.Members() > 1 {
+		panic("zonal: shared tracer on a fabric with several kernels; use InstrumentZones")
 	}
-	tracers := make([]*obs.Tracer, len(f.zones))
-	for i := range tracers {
-		tracers[i] = tr
-	}
-	f.InstrumentZones(tracers, reg)
+	f.InstrumentZones([]*obs.Tracer{tr}, reg)
 }
 
-// InstrumentZones attaches zone i's gateway to tracers[i] and registers
-// the metrics. Zone metrics register as "zone-<name>/..." so several
-// gateways share one registry without key collisions; fabric totals
-// register under "zonal/". On a partitioned fabric each registry counter
-// is written only by its owning zone's kernel and must only be read
-// between runs. tracers may be nil or shorter than the zone list;
-// missing entries mean metrics-only for that zone.
+// InstrumentZones attaches each zone gateway to the tracer of its
+// kernel-group member, tracers[Member()], and registers the metrics.
+// Zone metrics register as "zone-<name>/..." so several gateways share
+// one registry without key collisions; fabric totals register under
+// "zonal/". On a fabric with several kernels each registry counter is
+// written only by its owning zone's kernel and must only be read
+// between runs. tracers may be nil or shorter than the member count;
+// missing entries mean metrics-only for those members' zones.
 func (f *Fabric) InstrumentZones(tracers []*obs.Tracer, reg *obs.Registry) {
-	for i, z := range f.zones {
+	for _, z := range f.zones {
 		var tr *obs.Tracer
-		if i < len(tracers) {
-			tr = tracers[i]
+		if z.member < len(tracers) {
+			tr = tracers[z.member]
 		}
 		z.GW.InstrumentAs(tr, reg, "zone-"+z.Name)
 		if reg != nil {

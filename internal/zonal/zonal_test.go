@@ -12,12 +12,20 @@ import (
 	"autosec/internal/sim"
 )
 
+// oneKernel returns a one-member kernel group whose lookahead is the
+// backbone's minimum crossing at hop, and that member's kernel — the
+// setup every fabric test that runs all zones on one kernel shares.
+func oneKernel(seed uint64, hop sim.Duration) (*sim.KernelGroup, *sim.Kernel) {
+	g := sim.NewKernelGroup(seed, ethernet.TunnelLookahead(hop, ethernet.DefaultLinkBps), 1)
+	return g, g.Kernel(0)
+}
+
 // rig2 builds the canonical two-zone fabric: zone a owns the powertrain
 // CAN bus, zone b owns the body CAN bus, bridged by an Ethernet backbone.
 func rig2(t testing.TB) (k *sim.Kernel, f *Fabric, pt, body *can.Bus) {
 	t.Helper()
-	k = sim.NewKernel(1)
-	f = New(k, 2*sim.Microsecond, ethernet.DefaultLinkBps)
+	g, k := oneKernel(1, 2*sim.Microsecond)
+	f = New(g, 2*sim.Microsecond, ethernet.DefaultLinkBps)
 	za, err := f.AddZone("a")
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +163,8 @@ func TestCrossZoneForwardOverBackbone(t *testing.T) {
 }
 
 func TestZoneQuarantineIsolatesButLocalRoutingSurvives(t *testing.T) {
-	k := sim.NewKernel(1)
-	f := New(k, 2*sim.Microsecond, ethernet.DefaultLinkBps)
+	g, k := oneKernel(1, 2*sim.Microsecond)
+	f := New(g, 2*sim.Microsecond, ethernet.DefaultLinkBps)
 	za, _ := f.AddZone("a")
 	zb, _ := f.AddZone("b")
 	pt := can.NewBus(k, "powertrain", 500_000)
@@ -283,8 +291,8 @@ func TestZonalDeterministic(t *testing.T) {
 }
 
 func TestTopologyErrors(t *testing.T) {
-	k := sim.NewKernel(1)
-	f := New(k, 0, ethernet.DefaultLinkBps)
+	g, k := oneKernel(1, 0)
+	f := New(g, 0, ethernet.DefaultLinkBps)
 	if _, err := f.AddZone(BackboneDomain); err == nil {
 		t.Fatal("zone named backbone must be rejected")
 	}
@@ -317,7 +325,7 @@ func TestTopologyErrors(t *testing.T) {
 // TestPerZoneDeliveryProbes pins the per-zone observability surface: each
 // zone exposes zone-<name>/backbone_deliveries counting only its own
 // accepted backbone ingress, and the fabric totals stay consistent with
-// the per-zone split on a shared-kernel fabric.
+// the per-zone split on a one-kernel fabric.
 func TestPerZoneDeliveryProbes(t *testing.T) {
 	k, f, pt, body := rig2(t)
 	f.SetRules([]*gateway.Rule{{
@@ -368,8 +376,8 @@ func TestBackboneMatchesSwitchModel(t *testing.T) {
 	// zone b's gateway took it off the backbone.
 	fabricCrossing := func(fr netif.Frame) sim.Duration {
 		kind := fr.Medium
-		k := sim.NewKernel(1)
-		f := New(k, hop, ethernet.DefaultLinkBps)
+		g, k := oneKernel(1, hop)
+		f := New(g, hop, ethernet.DefaultLinkBps)
 		za, _ := f.AddZone("a")
 		zb, _ := f.AddZone("b")
 		src := &stubMedium{kind: kind}
@@ -450,7 +458,7 @@ func TestBackboneMatchesSwitchModel(t *testing.T) {
 // the same name gets the next backbone port, and frames reach it once,
 // never the dropped zone.
 func TestResetDropsScenarioZoneFromBackbone(t *testing.T) {
-	r := newZoneRig(t, 2, false, 3)
+	r := newZoneRig(t, 2, 1, 3)
 	r.fab.MarkBaseline()
 	addZone := func() *[]string {
 		z, err := r.fab.AddZone("z2")
@@ -458,7 +466,7 @@ func TestResetDropsScenarioZoneFromBackbone(t *testing.T) {
 			t.Fatal(err)
 		}
 		log := &[]string{}
-		if err := z.AttachDomain("d2", &recMedium{now: r.k.Now, log: log}); err != nil {
+		if err := z.AttachDomain("d2", &recMedium{now: z.Kernel().Now, log: log}); err != nil {
 			t.Fatal(err)
 		}
 		return log
