@@ -6,21 +6,31 @@ import (
 	"autosec/internal/sim"
 )
 
-func benchPKI(b *testing.B) (*Credential, *Store) {
+// benchPKI has the v2x-intersection workload's shape: a root, a
+// pseudonym CA under it, and a pseudonym certificate under that. The
+// store trusts the root and knows the CA.
+func benchPKI(b *testing.B) (*Credential, *Authority, *Store) {
 	b.Helper()
-	root, err := NewRootAuthority("root", []PSID{PSIDBasicSafety}, 0, sim.Hour)
+	psids := []PSID{PSIDBasicSafety}
+	root, err := NewRootAuthority("root", psids, 0, sim.Hour)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cred, err := root.Issue("obu", []PSID{PSIDBasicSafety}, 0, sim.Hour, false)
+	pca, err := root.IssueCA("pseudonym-ca", psids, 0, sim.Hour)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return cred, NewStore(root.Cert)
+	cred, err := pca.Issue("", psids, 0, sim.Hour, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := NewStore(root.Cert)
+	store.AddCert(pca.Cert)
+	return cred, root, store
 }
 
 func BenchmarkSignBSM(b *testing.B) {
-	cred, _ := benchPKI(b)
+	cred, _, _ := benchPKI(b)
 	payload := make([]byte, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -31,7 +41,7 @@ func BenchmarkSignBSM(b *testing.B) {
 }
 
 func BenchmarkVerifyBSM(b *testing.B) {
-	cred, store := benchPKI(b)
+	cred, _, store := benchPKI(b)
 	msg, err := cred.Sign(PSIDBasicSafety, make([]byte, 32), 0, false)
 	if err != nil {
 		b.Fatal(err)
@@ -44,12 +54,32 @@ func BenchmarkVerifyBSM(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyChain times a repeat signer's chain (hit: served by the
+// store's cache) and a first-seen one (cold: a fresh store per op, so the
+// full ECDSA walk stays measured).
 func BenchmarkVerifyChain(b *testing.B) {
-	cred, store := benchPKI(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	cred, root, store := benchPKI(b)
+	pca := store.known[cred.Cert.IssuerID]
+	b.Run("hit", func(b *testing.B) {
 		if err := store.VerifyChain(cred.Cert, sim.Millisecond); err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := store.VerifyChain(cred.Cert, sim.Millisecond); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := NewStore(root.Cert)
+			s.AddCert(pca)
+			if err := s.VerifyChain(cred.Cert, sim.Millisecond); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -74,13 +74,17 @@ var (
 	ErrChainDepth    = errors.New("ieee1609: chain too deep")
 )
 
-// tbsBytes is the deterministic To-Be-Signed encoding.
-func (c *Certificate) tbsBytes() []byte {
-	var b []byte
-	b = append(b, []byte(c.Subject)...)
-	b = append(b, 0)
-	b = append(b, c.IssuerID[:]...)
+// appendTBS appends the deterministic To-Be-Signed encoding and reports
+// whether the public key is encodable: a P-256 key whose X fits in 256
+// bits. Every variable-length field is length-prefixed, so the encoding
+// is injective. An unencodable key is written as 33 zero bytes, which no
+// compressed point starts with.
+func (c *Certificate) appendTBS(b []byte) ([]byte, bool) {
 	var tmp [8]byte
+	binary.BigEndian.PutUint32(tmp[:4], uint32(len(c.Subject)))
+	b = append(b, tmp[:4]...)
+	b = append(b, c.Subject...)
+	b = append(b, c.IssuerID[:]...)
 	binary.BigEndian.PutUint32(tmp[:4], uint32(len(c.PSIDs)))
 	b = append(b, tmp[:4]...)
 	for _, p := range c.PSIDs {
@@ -99,25 +103,57 @@ func (c *Certificate) tbsBytes() []byte {
 		flags |= 2
 	}
 	b = append(b, flags)
-	b = append(b, elliptic.MarshalCompressed(elliptic.P256(), c.PublicKey.X, c.PublicKey.Y)...)
+	// The compressed point, as elliptic.MarshalCompressed writes it.
+	if k := c.PublicKey; encodableKey(k) {
+		return appendFixed256(append(b, 2|byte(k.Y.Bit(0))), k.X), true
+	}
+	return appendFixed256(append(b, 0), nil), false
+}
+
+// appendCanonical appends c's canonical encoding, TBS ‖ R ‖ S with R and S
+// at a fixed 32-byte width, and reports whether every part is encodable.
+func (c *Certificate) appendCanonical(b []byte) ([]byte, bool) {
+	b, ok := c.appendTBS(b)
+	b = appendFixed256(appendFixed256(b, c.SigR), c.SigS)
+	return b, ok && fits256(c.SigR) && fits256(c.SigS)
+}
+
+// encodableKey reports whether k is a P-256 key the TBS encoding can
+// carry.
+func encodableKey(k *ecdsa.PublicKey) bool {
+	return k != nil && k.Curve == elliptic.P256() && fits256(k.X) && k.Y != nil
+}
+
+// fits256 reports whether x is non-nil, non-negative and at most 256 bits
+// wide.
+func fits256(x *big.Int) bool { return x != nil && x.Sign() >= 0 && x.BitLen() <= 256 }
+
+var zero256 [32]byte
+
+// appendFixed256 appends x as 32 big-endian bytes, or 32 zero bytes when
+// x does not fit.
+func appendFixed256(b []byte, x *big.Int) []byte {
+	n := len(b)
+	b = append(b, zero256[:]...)
+	if fits256(x) {
+		x.FillBytes(b[n:])
+	}
 	return b
 }
 
-// ID returns the HashedID8 (low 8 bytes of SHA-256 over the TBS encoding
-// plus signature, per the spirit of 1609.2).
+// idOf is the HashedID8 of a canonical digest: its low 8 bytes.
+func idOf(sum [32]byte) (id HashedID8) {
+	copy(id[:], sum[len(sum)-len(id):])
+	return id
+}
+
+// ID returns the HashedID8: the low 8 bytes of SHA-256 over the canonical
+// encoding (TBS plus fixed-width signature, per the spirit of 1609.2).
 func (c *Certificate) ID() HashedID8 {
-	if c.idCached {
-		return c.id
+	if !c.idCached {
+		b, _ := c.appendCanonical(nil)
+		c.id, c.idCached = idOf(sha256.Sum256(b)), true
 	}
-	h := sha256.New()
-	h.Write(c.tbsBytes())
-	if c.SigR != nil {
-		h.Write(c.SigR.Bytes())
-		h.Write(c.SigS.Bytes())
-	}
-	sum := h.Sum(nil)
-	copy(c.id[:], sum[len(sum)-8:])
-	c.idCached = true
 	return c.id
 }
 
@@ -136,12 +172,14 @@ func (c *Certificate) Permits(p PSID) bool {
 	return false
 }
 
-// verifySignedBy checks c's signature under issuer's public key.
+// verifySignedBy checks c's signature under issuer's public key. A
+// certificate or issuer whose key is not encodable is rejected.
 func (c *Certificate) verifySignedBy(issuer *Certificate) error {
-	if c.SigR == nil || c.SigS == nil {
+	tbs, ok := c.appendTBS(nil)
+	if !ok || !encodableKey(issuer.PublicKey) || c.SigR == nil || c.SigS == nil {
 		return ErrBadSignature
 	}
-	digest := sha256.Sum256(c.tbsBytes())
+	digest := sha256.Sum256(tbs)
 	if !ecdsa.Verify(issuer.PublicKey, digest[:], c.SigR, c.SigS) {
 		return ErrBadSignature
 	}
@@ -176,7 +214,8 @@ func NewRootAuthority(subject string, psids []PSID, notBefore, notAfter sim.Time
 }
 
 func signCert(c *Certificate, priv *ecdsa.PrivateKey) error {
-	digest := sha256.Sum256(c.tbsBytes())
+	tbs, _ := c.appendTBS(nil)
+	digest := sha256.Sum256(tbs)
 	r, s, err := ecdsa.Sign(rand.Reader, priv, digest[:])
 	if err != nil {
 		return err
@@ -237,13 +276,40 @@ type Credential struct {
 }
 
 // Store is a verifier's certificate state: trust anchors, learned
-// certificates and the current CRL.
+// certificates, the current CRL, and a cache of successful chain walks.
+//
+// The cache is keyed on the SHA-256 of a certificate's canonical encoding
+// (see ID), so a certificate changed in any byte misses it. An entry
+// holds only the intersection of the chain's validity windows and the
+// walked depth, both re-checked by comparison at each hit. A new CRL
+// clears the cache, and so does AddCert replacing a known CA with a
+// different certificate. Only walks that reach a root through at least
+// one signature are cached; rejections always take the full walk. The
+// store holds roots and known certificates by pointer and treats them as
+// immutable once handed over, as it already does for a root, which it
+// trusts by pointer identity alone.
+//
+// A Store is not safe for concurrent use: Verify records the signer's
+// certificate and VerifyChain fills the cache.
 type Store struct {
 	roots map[HashedID8]*Certificate
 	known map[HashedID8]*Certificate
 	crl   *CRL
+	// verified caches successful chain walks by canonical digest.
+	verified map[[sha256.Size]byte]chainEntry
+	// scratch holds the canonical encoding being hashed.
+	scratch []byte
 	// MaxChainDepth bounds chain walks (default 4).
 	MaxChainDepth int
+}
+
+// chainEntry is a cached successful chain walk.
+type chainEntry struct {
+	// notBefore and notAfter bound the intersection of the validity
+	// windows of every certificate on the chain.
+	notBefore, notAfter sim.Time
+	// depth is the number of signatures walked to reach the root.
+	depth int
 }
 
 // NewStore creates a store trusting the given root certificates.
@@ -251,6 +317,7 @@ func NewStore(roots ...*Certificate) *Store {
 	s := &Store{
 		roots:         make(map[HashedID8]*Certificate),
 		known:         make(map[HashedID8]*Certificate),
+		verified:      make(map[[sha256.Size]byte]chainEntry),
 		MaxChainDepth: 4,
 	}
 	for _, r := range roots {
@@ -261,11 +328,24 @@ func NewStore(roots ...*Certificate) *Store {
 
 // AddCert caches an intermediate or end-entity certificate for chain
 // building (e.g. received alongside a message).
-func (s *Store) AddCert(c *Certificate) { s.known[c.ID()] = c }
+func (s *Store) AddCert(c *Certificate) {
+	id := c.ID()
+	if old, ok := s.known[id]; ok && old != c && old.IsCA {
+		// A different certificate under a CA's ID (a copy, or one whose
+		// memoized ID no longer matches its bytes) may change the walks
+		// that went through that CA.
+		clear(s.verified)
+	}
+	s.known[id] = c
+}
 
 // SetCRL installs a revocation list after verifying its signature against
-// the store's trust anchors.
+// the store's trust anchors. Installing it clears the chain cache: the
+// list may revoke an intermediate as well as a leaf.
 func (s *Store) SetCRL(crl *CRL, at sim.Time) error {
+	if crl == nil || crl.Signer == nil {
+		return fmt.Errorf("ieee1609: CRL signer: %w", ErrUnknownIssuer)
+	}
 	if err := s.VerifyChain(crl.Signer, at); err != nil {
 		return fmt.Errorf("ieee1609: CRL signer: %w", err)
 	}
@@ -279,6 +359,7 @@ func (s *Store) SetCRL(crl *CRL, at sim.Time) error {
 		return fmt.Errorf("ieee1609: stale CRL sequence %d", crl.Sequence)
 	}
 	s.crl = crl
+	clear(s.verified)
 	return nil
 }
 
@@ -292,46 +373,73 @@ func (s *Store) Revoked(id HashedID8) bool {
 
 // VerifyChain validates cert at time at: signature chain to a trusted
 // root, validity windows, CA flags, PSID non-escalation and revocation.
+// A certificate already walked under the current CRL is checked against
+// its cached entry instead, without signature work.
 func (s *Store) VerifyChain(cert *Certificate, at sim.Time) error {
-	depth := 0
+	var ok bool
+	s.scratch, ok = cert.appendCanonical(s.scratch[:0])
+	key := sha256.Sum256(s.scratch)
+	if !cert.idCached {
+		cert.id, cert.idCached = idOf(key), true
+	}
+	// A memoized ID that no longer matches the bytes would change the
+	// walk's revocation and root lookups, so such a certificate neither
+	// hits nor fills the cache.
+	ok = ok && cert.id == idOf(key)
+	if e, hit := s.verified[key]; ok && hit &&
+		at >= e.notBefore && at <= e.notAfter && e.depth <= s.MaxChainDepth {
+		return nil
+	}
+	e, err := s.walk(cert, at)
+	if ok && err == nil && e.depth > 0 {
+		s.verified[key] = e
+	}
+	return err
+}
+
+// walk is the uncached chain walk. On success it returns the chain's
+// window intersection and depth.
+func (s *Store) walk(cert *Certificate, at sim.Time) (chainEntry, error) {
+	e := chainEntry{notBefore: cert.NotBefore, notAfter: cert.NotAfter}
 	c := cert
 	for {
-		if depth > s.MaxChainDepth {
-			return ErrChainDepth
+		if e.depth > s.MaxChainDepth {
+			return e, ErrChainDepth
 		}
 		if !c.ValidAt(at) {
-			return fmt.Errorf("%w: %s", ErrExpired, c.Subject)
+			return e, fmt.Errorf("%w: %s", ErrExpired, c.Subject)
 		}
+		e.notBefore, e.notAfter = max(e.notBefore, c.NotBefore), min(e.notAfter, c.NotAfter)
 		if s.Revoked(c.ID()) {
-			return fmt.Errorf("%w: %s", ErrRevoked, c.ID())
+			return e, fmt.Errorf("%w: %s", ErrRevoked, c.ID())
 		}
 		if root, ok := s.roots[c.ID()]; ok && root == c {
-			return nil // reached a trust anchor
+			return e, nil // reached a trust anchor
 		}
 		var zero HashedID8
 		if c.IssuerID == zero {
 			// Self-signed but not a configured anchor.
-			return ErrUnknownIssuer
+			return e, ErrUnknownIssuer
 		}
 		issuer, ok := s.roots[c.IssuerID]
 		if !ok {
 			issuer, ok = s.known[c.IssuerID]
 		}
 		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownIssuer, c.IssuerID)
+			return e, fmt.Errorf("%w: %s", ErrUnknownIssuer, c.IssuerID)
 		}
 		if !issuer.IsCA {
-			return ErrNotCA
+			return e, ErrNotCA
 		}
 		for _, p := range c.PSIDs {
 			if !issuer.Permits(p) {
-				return fmt.Errorf("%w: %#x", ErrPSIDEscalate, p)
+				return e, fmt.Errorf("%w: %#x", ErrPSIDEscalate, p)
 			}
 		}
 		if err := c.verifySignedBy(issuer); err != nil {
-			return err
+			return e, err
 		}
 		c = issuer
-		depth++
+		e.depth++
 	}
 }

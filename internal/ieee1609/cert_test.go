@@ -1,7 +1,9 @@
 package ieee1609
 
 import (
+	"bytes"
 	"errors"
+	"math/big"
 	"testing"
 
 	"autosec/internal/sim"
@@ -52,13 +54,22 @@ func TestChainRejectsUnknownIssuer(t *testing.T) {
 		t.Fatal(err)
 	}
 	cred, _ := other.Issue("rogue-obu", []PSID{PSIDBasicSafety}, 0, sim.Hour, false)
-	_, _, store := pki(t)
+	root, _, store := pki(t)
 	if err := store.VerifyChain(cred.Cert, sim.Minute); !errors.Is(err, ErrUnknownIssuer) {
 		t.Fatalf("err=%v", err)
 	}
 	// A foreign self-signed root is equally untrusted.
 	if err := store.VerifyChain(other.Cert, sim.Minute); !errors.Is(err, ErrUnknownIssuer) {
 		t.Fatalf("foreign root: err=%v", err)
+	}
+	// So is a byte-identical copy of the store's own root, even after the
+	// root itself verified: an anchor is trusted by identity.
+	if err := store.VerifyChain(root.Cert, sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	rootCopy := *root.Cert
+	if err := store.VerifyChain(&rootCopy, sim.Minute); !errors.Is(err, ErrUnknownIssuer) {
+		t.Fatalf("root copy: err=%v", err)
 	}
 }
 
@@ -95,13 +106,22 @@ func TestChainRejectsNonCAIssuer(t *testing.T) {
 	}
 }
 
+// A certificate changed in place after it verified is rejected, whether
+// or not its memoized ID is reset.
 func TestChainRejectsTamperedCert(t *testing.T) {
-	_, sub, store := pki(t)
-	cred, _ := sub.Issue("obu-1", []PSID{PSIDBasicSafety}, 0, sim.Hour, false)
-	cred.Cert.Subject = "obu-1-promoted" // invalidates issuer signature
-	cred.Cert.idCached = false
-	if err := store.VerifyChain(cred.Cert, sim.Minute); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("err=%v", err)
+	for _, resetID := range []bool{false, true} {
+		_, sub, store := pki(t)
+		cred, _ := sub.Issue("obu-1", []PSID{PSIDBasicSafety}, 0, sim.Hour, false)
+		if err := store.VerifyChain(cred.Cert, sim.Minute); err != nil {
+			t.Fatal(err)
+		}
+		cred.Cert.Subject = "obu-1-promoted" // invalidates issuer signature
+		if resetID {
+			cred.Cert.idCached = false
+		}
+		if err := store.VerifyChain(cred.Cert, sim.Minute); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("resetID=%v: err=%v", resetID, err)
+		}
 	}
 }
 
@@ -133,8 +153,11 @@ func TestPermitsAndValidity(t *testing.T) {
 func TestRevocation(t *testing.T) {
 	root, sub, store := pki(t)
 	cred, _ := sub.Issue("obu-1", []PSID{PSIDBasicSafety}, 0, sim.Hour, false)
-	if err := store.VerifyChain(cred.Cert, sim.Minute); err != nil {
-		t.Fatal(err)
+	other, _ := sub.Issue("obu-2", []PSID{PSIDBasicSafety}, 0, sim.Hour, false)
+	for _, c := range []*Certificate{cred.Cert, other.Cert} {
+		if err := store.VerifyChain(c, sim.Minute); err != nil {
+			t.Fatal(err)
+		}
 	}
 	crl, err := root.SignCRL(1, []HashedID8{cred.Cert.ID()})
 	if err != nil {
@@ -145,6 +168,17 @@ func TestRevocation(t *testing.T) {
 	}
 	if err := store.VerifyChain(cred.Cert, sim.Minute); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("revoked cert verified: %v", err)
+	}
+	if err := store.VerifyChain(other.Cert, sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	// Revoking the intermediate rejects a leaf that verified under it.
+	crl, _ = root.SignCRL(2, []HashedID8{sub.Cert.ID()})
+	if err := store.SetCRL(crl, sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.VerifyChain(other.Cert, sim.Minute); !errors.Is(err, ErrRevoked) {
+		t.Fatalf("leaf under revoked CA verified: %v", err)
 	}
 }
 
@@ -207,5 +241,77 @@ func TestChainDepthLimit(t *testing.T) {
 	cred, _ := leafCA.Issue("deep", []PSID{PSIDBasicSafety}, 0, sim.Hour, false)
 	if err := store.VerifyChain(cred.Cert, sim.Minute); !errors.Is(err, ErrChainDepth) {
 		t.Fatalf("err=%v", err)
+	}
+}
+
+// A CRL without a signer is rejected, not a nil dereference in the chain
+// walk.
+func TestCRLNilSignerRejected(t *testing.T) {
+	root, _, store := pki(t)
+	crl, _ := root.SignCRL(1, nil)
+	crl.Signer = nil
+	if err := store.SetCRL(crl, sim.Minute); !errors.Is(err, ErrUnknownIssuer) {
+		t.Fatalf("err=%v", err)
+	}
+}
+
+// A known issuer without a public key rejects what names it, rather than
+// handing ECDSA a nil key.
+func TestChainRejectsKeylessKnownIssuer(t *testing.T) {
+	_, sub, store := pki(t)
+	cred, _ := sub.Issue("obu-1", []PSID{PSIDBasicSafety}, 0, sim.Hour, false)
+	keyless := *sub.Cert // keeps sub's memoized ID
+	keyless.PublicKey = nil
+	store.AddCert(&keyless)
+	if err := store.VerifyChain(cred.Cert, sim.Minute); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("err=%v", err)
+	}
+}
+
+// Moving a byte between R and S leaves the variable-width R‖S bytes
+// unchanged, but the fixed-width canonical encoding, and so the ID, sees
+// it; the re-split signature is rejected.
+func TestIDBindsSignatureSplit(t *testing.T) {
+	_, sub, store := pki(t)
+	cred, _ := sub.Issue("obu-1", []PSID{PSIDBasicSafety}, 0, sim.Hour, false)
+	c := cred.Cert
+	if err := store.VerifyChain(c, sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	r, s := c.SigR.Bytes(), c.SigS.Bytes()
+	resplits := map[string][2][]byte{
+		"R's last byte to S":  {r[:len(r)-1], append([]byte{r[len(r)-1]}, s...)},
+		"S's first byte to R": {append(append([]byte(nil), r...), s[0]), s[1:]},
+	}
+	for name, rs := range resplits {
+		t.Run(name, func(t *testing.T) {
+			if rs[1][0] == 0 || rs[0][0] == 0 {
+				t.Skip("moved byte is zero, so Bytes() would drop it")
+			}
+			re := *c
+			re.SigR, re.SigS = new(big.Int).SetBytes(rs[0]), new(big.Int).SetBytes(rs[1])
+			re.idCached = false
+			if !bytes.Equal(append(re.SigR.Bytes(), re.SigS.Bytes()...), append(r, s...)) {
+				t.Fatal("re-split changed the variable-width R‖S bytes")
+			}
+			if re.ID() == c.ID() {
+				t.Fatal("re-split signature kept the ID")
+			}
+			if err := store.VerifyChain(&re, sim.Minute); !errors.Is(err, ErrBadSignature) {
+				t.Fatalf("re-split signature: err=%v", err)
+			}
+		})
+	}
+}
+
+// A NUL-terminated subject let a longer subject absorb the issuer ID and
+// PSID count; the length-prefixed TBS tells the two apart.
+func TestTBSEncodingUnambiguous(t *testing.T) {
+	a := &Certificate{Subject: "s", PSIDs: []PSID{1, PSIDBasicSafety}}
+	b := &Certificate{Subject: "s\x00\x00\x00\x00", IssuerID: HashedID8{7: 2}, PSIDs: []PSID{PSIDBasicSafety}}
+	ta, _ := a.appendTBS(nil)
+	tb, _ := b.appendTBS(nil)
+	if bytes.Equal(ta, tb) {
+		t.Fatal("distinct certificates share a TBS encoding")
 	}
 }

@@ -190,3 +190,17 @@ func TestPseudonymSignedMessageVerifies(t *testing.T) {
 		t.Fatal("verified pseudonym exposes a subject")
 	}
 }
+
+// A message whose certificate carries no public key is rejected, not a
+// nil dereference in the TBS encoding.
+func TestVerifyRejectsNilPublicKeyCert(t *testing.T) {
+	cred, store := obu(t)
+	msg, _ := cred.Sign(PSIDBasicSafety, []byte("x"), 0, false)
+	keyless := *cred.Cert
+	keyless.PublicKey = nil
+	keyless.idCached = false
+	msg.Cert = &keyless
+	if _, err := store.Verify(msg, sim.Second, VerifyOptions{}); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("err=%v", err)
+	}
+}
