@@ -265,62 +265,66 @@ func WireLength(f *Frame) (int, error) {
 	return len(wire) + 3, nil
 }
 
-// bitCounter streams the stuffed-region bits of a classic frame without
-// materializing them, accumulating the CRC-15 and the stuff-bit count in
-// one pass. It is the allocation-free equivalent of
-// len(Stuff(headerBits+CRC)) and exists for the bus timing hot path;
-// Marshal remains the reference bit-level encoder, and
-// TestClassicWireBitsMatchesMarshal pins the two together.
-type bitCounter struct {
+// The bus timing hot path counts a classic frame's stuffed bits a byte at
+// a time, without materializing them: crc15Table advances the CRC-15
+// register by one byte, and stuffTable advances the stuffing state. Both
+// are built from the reference CRC15 and Stuff rules; Marshal remains
+// the reference encoder, and TestClassicWireBitsMatchesMarshal and
+// FuzzClassicWireBits pin classicWireBits to it.
+//
+// A stuffing state is the last bit on the wire and the length of the run
+// of equal bits it ends (1-4; a fifth is always followed by a stuff bit),
+// packed as last<<2 | (run-1). A stuffTable entry for (state, byte) is
+// the stuff bits the byte adds <<3 | the state after it.
+var crc15Table, stuffTable = wireTables()
+
+func wireTables() (crc [256]uint16, stuff [8 << 8]uint8) {
+	for b := 0; b < 256; b++ {
+		bits := appendBits(nil, uint64(b), 8)
+		crc[b] = CRC15(bits)
+		for st := 0; st < 8; st++ {
+			last, run := st>>2 == 1, st&3+1
+			// One opposite bit, then run copies of last: a prefix that
+			// leaves Stuff in state st without stuffing.
+			in := []bool{!last}
+			for i := 0; i < run; i++ {
+				in = append(in, last)
+			}
+			in = append(in, bits...)
+			out := Stuff(in)
+			end, tail := out[len(out)-1], 1
+			for out[len(out)-1-tail] == end {
+				tail++
+			}
+			next := tail - 1
+			if end {
+				next |= 4
+			}
+			stuff[st<<8|b] = uint8((len(out)-len(in))<<3 | next)
+		}
+	}
+	return crc, stuff
+}
+
+// wireCounter accumulates the CRC-15 and the stuffed length of the
+// SOF..CRC region of a classic frame, one byte at a time.
+type wireCounter struct {
 	crc   uint16
-	run   int
-	last  bool
-	any   bool
-	count int
+	state uint8 // stuffing state, as in stuffTable
+	bits  int
 }
 
-// crcOnly feeds one bit into the CRC accumulator.
-func (bc *bitCounter) crcOnly(b bool) {
-	bit := uint16(0)
-	if b {
-		bit = 1
-	}
-	next := bit ^ (bc.crc >> 14)
-	bc.crc = (bc.crc << 1) & 0x7FFF
-	if next == 1 {
-		bc.crc ^= crc15Poly
-	}
+// stuff feeds one byte to the stuffing state only.
+func (w *wireCounter) stuff(b byte) {
+	e := stuffTable[int(w.state)<<8|int(b)]
+	w.state = e & 7
+	w.bits += 8 + int(e>>3)
 }
 
-// stuffOnly feeds one bit into the stuffing counter: the bit itself, plus
-// a complement stuff bit after every run of five.
-func (bc *bitCounter) stuffOnly(b bool) {
-	if bc.any && b == bc.last {
-		bc.run++
-	} else {
-		bc.run = 1
-	}
-	bc.count++
-	bc.last = b
-	bc.any = true
-	if bc.run == 5 {
-		bc.count++ // stuff bit, complement of b
-		bc.last = !b
-		bc.run = 1
-	}
-}
-
-// bit feeds one header/data bit: CRC-covered and stuffed.
-func (bc *bitCounter) bit(b bool) {
-	bc.crcOnly(b)
-	bc.stuffOnly(b)
-}
-
-// bits feeds the low n bits of v, MSB first.
-func (bc *bitCounter) bits(v uint64, n int) {
-	for i := n - 1; i >= 0; i-- {
-		bc.bit(v>>uint(i)&1 == 1)
-	}
+// crcStuff feeds one byte to the CRC and the stuffing state.
+func (w *wireCounter) crcStuff(b byte) {
+	w.crc = (w.crc<<8)&0x7FFF ^ crc15Table[byte(w.crc>>7)^b]
+	w.stuff(b)
 }
 
 // classicWireBits returns exactly what WireLength returns for a valid
@@ -334,33 +338,41 @@ func classicWireBits(f *Frame) (int, error) {
 	if err := f.Validate(); err != nil {
 		return 0, err
 	}
-	var bc bitCounter
-	bc.bit(false) // SOF (dominant)
-	if !f.Extended {
-		bc.bits(uint64(f.ID), 11)
-		bc.bit(f.Remote) // RTR
-		bc.bit(false)    // IDE = standard
-		bc.bit(false)    // r0
-	} else {
-		bc.bits(uint64(f.ID>>18), 11) // base ID
-		bc.bit(true)                  // SRR (recessive)
-		bc.bit(true)                  // IDE = extended
-		bc.bits(uint64(f.ID)&0x3FFFF, 18)
-		bc.bit(f.Remote) // RTR
-		bc.bit(false)    // r1
-		bc.bit(false)    // r0
+	// SOF through DLC as one field, SOF (dominant) its top bit. Standard:
+	// SOF, ID(11), RTR, IDE=0, r0, DLC(4). Extended: SOF, base ID(11),
+	// SRR=1, IDE=1, ID extension(18), RTR, r1, r0, DLC(4).
+	hdr, n := uint64(f.ID)<<7|uint64(f.DLC()), 19
+	if f.Extended {
+		hdr, n = uint64(f.ID>>18)<<27|3<<25|(uint64(f.ID)&0x3FFFF)<<7|uint64(f.DLC()), 39
 	}
-	bc.bits(uint64(f.DLC()), 4)
+	if f.Remote {
+		hdr |= 1 << 6
+	}
+	// Lead the header with pad bits up to whole bytes. For the CRC they
+	// are zeros, which leave the zeroed register at zero. For stuffing
+	// they alternate from the zero state and end recessive, like the idle
+	// bus before SOF: they add no stuff bit, and SOF starts a fresh run.
+	pad := 8 - n%8
+	n += pad
+	var w wireCounter
+	first := byte(hdr >> uint(n-8))
+	w.crc = crc15Table[first]
+	w.stuff(first | byte(0x55<<uint(8-pad)))
+	for n -= 8; n > 0; n -= 8 {
+		w.crcStuff(byte(hdr >> uint(n-8)))
+	}
 	if !f.Remote {
 		for _, b := range f.Data {
-			bc.bits(uint64(b), 8)
+			w.crcStuff(b)
 		}
 	}
-	crc := bc.crc & 0x7FFF
-	for i := 14; i >= 0; i-- {
-		bc.stuffOnly(crc>>uint(i)&1 == 1)
-	}
-	return bc.count + 10 + 3, nil
+	// The CRC sequence is stuffed but not CRC-covered. Its last 7 bits go
+	// with one trailing bit opposite to the last of them, which cannot
+	// complete a run and so adds itself and no stuff bit.
+	crc := w.crc
+	w.stuff(byte(crc >> 7))
+	w.stuff(byte(crc<<1) | byte(^crc&1))
+	return w.bits - pad - 1 + 10 + 3, nil
 }
 
 // BitLength estimates on-wire bits for timing purposes, handling both

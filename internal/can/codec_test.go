@@ -2,6 +2,7 @@ package can
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -271,48 +272,77 @@ func TestHeaderBitsRejectsFD(t *testing.T) {
 	}
 }
 
-// Property: the streaming allocation-free bit counter used by the bus
-// timing hot path agrees exactly with the reference Marshal-based
-// WireLength for arbitrary valid classic frames (including remote frames),
-// and allocates nothing.
+// checkWireBits asserts that the table-driven counter agrees with the
+// reference Marshal-based WireLength on one frame, errors included.
+func checkWireBits(t *testing.T, fr Frame) {
+	t.Helper()
+	want, wantErr := WireLength(&fr)
+	got, err := classicWireBits(&fr)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("classicWireBits(%v) error %v, WireLength error %v", &fr, err, wantErr)
+	}
+	if got != want {
+		t.Fatalf("classicWireBits(%v)=%d, WireLength=%d", &fr, got, want)
+	}
+}
+
+// wirePatterns are payload bytes that stress stuffing: constant bytes,
+// alternating bits, and runs of 4, 5 and 6 equal bits laid so that runs
+// cross byte boundaries, in both polarities.
+func wirePatterns() [][8]byte {
+	out := [][8]byte{}
+	for _, b := range []byte{0x00, 0xFF, 0x55, 0xAA} {
+		out = append(out, [8]byte{b, b, b, b, b, b, b, b})
+	}
+	for _, run := range []int{4, 5, 6} {
+		for _, inv := range []bool{false, true} {
+			var p [8]byte
+			for i := 0; i < 64; i++ {
+				if ((i+2)/run%2 == 0) != inv {
+					p[i/8] |= 0x80 >> uint(i%8)
+				}
+			}
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// Property: the table-driven bit counter used by the bus timing hot path
+// agrees exactly with the reference Marshal-based WireLength — for every
+// standard ID × RTR × DLC 0-8 under the stuffing-stress payloads, and
+// for random standard and extended frames — and allocates nothing.
 func TestClassicWireBitsMatchesMarshal(t *testing.T) {
-	check := func(fr Frame) {
-		t.Helper()
-		want, err := WireLength(&fr)
-		if err != nil {
-			t.Fatalf("WireLength(%v): %v", &fr, err)
-		}
-		got, err := classicWireBits(&fr)
-		if err != nil {
-			t.Fatalf("classicWireBits(%v): %v", &fr, err)
-		}
-		if got != want {
-			t.Fatalf("classicWireBits(%v)=%d, WireLength=%d", &fr, got, want)
+	patterns := wirePatterns()
+	for id := ID(0); id <= MaxStandardID; id++ {
+		for dlc := 0; dlc <= 8; dlc++ {
+			// A remote frame's DLC is its data length; no data goes on the wire.
+			checkWireBits(t, Frame{ID: id, Remote: true, Data: make([]byte, dlc)})
+			for i := range patterns {
+				checkWireBits(t, Frame{ID: id, Data: patterns[i][:dlc]})
+			}
 		}
 	}
-	f := func(rawID uint32, ext, remote bool, data []byte) bool {
-		fr := Frame{Extended: ext, Remote: remote}
-		if ext {
-			fr.ID = ID(rawID) & MaxExtendedID
-		} else {
-			fr.ID = ID(rawID) & MaxStandardID
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		fr := Frame{Extended: rng.Intn(2) == 0, Remote: rng.Intn(8) == 0}
+		fr.ID = ID(rng.Uint32()) & MaxStandardID
+		if fr.Extended {
+			fr.ID = ID(rng.Uint32()) & MaxExtendedID
 		}
-		if len(data) > 8 {
-			data = data[:8]
+		fr.Data = make([]byte, rng.Intn(9))
+		for j := range fr.Data {
+			fr.Data[j] = byte(rng.Intn(256))
+			if rng.Intn(2) == 0 { // long runs are where stuffing happens
+				fr.Data[j] = []byte{0x00, 0xFF, 0x0F, 0xF0, 0x1F, 0xE0}[rng.Intn(6)]
+			}
 		}
-		if !remote {
-			fr.Data = data
-		}
-		check(fr)
-		return true
+		checkWireBits(t, fr)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	// Worst-case stuffing: long runs of identical bits.
-	check(Frame{ID: 0, Data: []byte{0, 0, 0, 0, 0, 0, 0, 0}})
-	check(Frame{ID: 0x7FF, Data: []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}})
-	check(Frame{ID: 0x1FFFFFFF, Extended: true, Data: []byte{0xAA, 0x55}})
+	checkWireBits(t, Frame{ID: 0x1FFFFFFF, Extended: true, Data: []byte{0xAA, 0x55}})
+	checkWireBits(t, Frame{ID: 0x800, Data: []byte{1}})       // ID out of range
+	checkWireBits(t, Frame{ID: 1, Data: make([]byte, 9)})     // too long
+	checkWireBits(t, Frame{ID: 0, Extended: true, Data: nil}) // all-dominant extended header
 
 	fr := Frame{ID: 0x2A5, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}
 	if allocs := testing.AllocsPerRun(100, func() {

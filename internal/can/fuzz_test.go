@@ -138,6 +138,21 @@ func FuzzFrameRoundtrip(f *testing.F) {
 	})
 }
 
+// FuzzClassicWireBits checks the bus timing hot path against the
+// reference encoder: for any frame, classicWireBits must return exactly
+// WireLength's bit count, and reject exactly the frames it rejects.
+func FuzzClassicWireBits(f *testing.F) {
+	f.Add(uint32(0x100), false, false, []byte{1, 2, 3})
+	f.Add(uint32(0), false, false, []byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint32(0x7FF), false, false, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(uint32(0x1FFFFFFF), true, false, []byte{0xAA, 0x55})
+	f.Add(uint32(0x155), false, true, []byte{0, 0, 0})
+	f.Add(uint32(0x800), false, false, []byte{})
+	f.Fuzz(func(t *testing.T, id uint32, extended, remote bool, data []byte) {
+		checkWireBits(t, Frame{ID: ID(id), Extended: extended, Remote: remote, Data: data})
+	})
+}
+
 // FuzzTraceRoundtrip exercises the text trace parser (traceio.go) with
 // arbitrary input. Whatever ParseTrace accepts must re-serialise through
 // WriteTrace into a trace that parses back with the same frames.

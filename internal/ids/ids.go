@@ -24,7 +24,7 @@ package ids
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"autosec/internal/netif"
 	"autosec/internal/sim"
@@ -91,61 +91,50 @@ func (d *FrequencyDetector) Name() string { return "frequency" }
 // Train implements Detector.
 func (d *FrequencyDetector) Train(trace *netif.Trace) {
 	d.bounds = make(map[netif.Key][2]float64)
+	d.boundKeys = d.boundKeys[:0]
 	if trace.Len() == 0 {
 		return
 	}
 	// Min/max scan rather than first/last: training traces assembled from
 	// several sources are not necessarily time-sorted.
 	start, end := trace.Records[0].At, trace.Records[0].At
-	for _, r := range trace.Records {
-		if r.At < start {
-			start = r.At
+	for i := range trace.Records {
+		at := trace.Records[i].At
+		if at < start {
+			start = at
 		}
-		if r.At > end {
-			end = r.At
+		if at > end {
+			end = at
 		}
 	}
+	// Per-key window counts, one row of nWin per key in first-seen order.
+	// d.counts holds each key's row index until Observe counts in it.
+	d.counts = make(map[netif.Key]int)
+	d.suppressed = make(map[netif.Key]bool)
 	nWin := int((end-start)/d.Window) + 1
-	perWin := make(map[netif.Key][]int)
-	for k := range countKeys(trace) {
-		perWin[k] = make([]int, nWin)
-	}
+	var perWin []int32
 	for i := range trace.Records {
 		r := &trace.Records[i]
-		w := int((r.At - start) / d.Window)
-		perWin[r.Frame.Key()][w]++
-	}
-	for k, wins := range perWin {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, c := range wins {
-			fc := float64(c)
-			if fc < lo {
-				lo = fc
-			}
-			if fc > hi {
-				hi = fc
-			}
+		k := r.Frame.Key()
+		row, ok := d.counts[k]
+		if !ok {
+			row = len(d.boundKeys)
+			d.counts[k] = row
+			d.boundKeys = append(d.boundKeys, k)
+			perWin = append(perWin, make([]int32, nWin)...)
 		}
+		perWin[row*nWin+int((r.At-start)/d.Window)]++
+	}
+	for row, k := range d.boundKeys {
+		wins := perWin[row*nWin : (row+1)*nWin]
+		lo, hi := float64(slices.Min(wins)), float64(slices.Max(wins))
 		// The ±1 absolute margin absorbs window-boundary drift: a message
 		// whose period equals the window lands 0 or 2 times in a window
 		// depending on phase, without that being an anomaly.
 		d.bounds[k] = [2]float64{lo*(1-d.Slack) - 1, hi*(1+d.Slack) + 1}
 	}
-	d.boundKeys = d.boundKeys[:0]
-	for k := range d.bounds {
-		d.boundKeys = append(d.boundKeys, k)
-	}
-	sort.Slice(d.boundKeys, func(i, j int) bool { return d.boundKeys[i] < d.boundKeys[j] })
-	d.counts = make(map[netif.Key]int)
-	d.suppressed = make(map[netif.Key]bool)
-}
-
-func countKeys(trace *netif.Trace) map[netif.Key]bool {
-	out := make(map[netif.Key]bool)
-	for i := range trace.Records {
-		out[trace.Records[i].Frame.Key()] = true
-	}
-	return out
+	slices.Sort(d.boundKeys)
+	clear(d.counts)
 }
 
 // Observe implements Detector.
@@ -203,21 +192,54 @@ func NewIntervalDetector() *IntervalDetector {
 // Name implements Detector.
 func (d *IntervalDetector) Name() string { return "interval" }
 
-// Train implements Detector.
+// Train implements Detector. One pass numbers each record's key in
+// first-seen order; a second lays each key's inter-arrival samples, in
+// trace order (negative on an unsorted trace), out in one buffer.
 func (d *IntervalDetector) Train(trace *netif.Trace) {
 	d.period = make(map[netif.Key]sim.Duration)
 	d.lastAt = make(map[netif.Key]sim.Time)
-	for k := range countKeys(trace) {
-		ivs := trace.Intervals(k)
-		if len(ivs) < 3 {
+	type series struct {
+		key      netif.Key
+		last     sim.Time
+		start, n int // samples so far, in buf[start:start+n]
+	}
+	var keys []series
+	index := make(map[netif.Key]int32)
+	rows := make([]int32, len(trace.Records))
+	for i := range trace.Records {
+		k := trace.Records[i].Frame.Key()
+		row, seen := index[k]
+		if !seen {
+			row = int32(len(keys))
+			index[k] = row
+			keys = append(keys, series{key: k})
+		}
+		rows[i] = row
+		keys[row].n++
+	}
+	samples := 0
+	for j := range keys {
+		keys[j].start = samples
+		samples += keys[j].n - 1
+		keys[j].n = -1 // a key's first record has no predecessor
+	}
+	buf := make([]sim.Duration, samples)
+	for i, row := range rows {
+		at := trace.Records[i].At
+		s := &keys[row]
+		if s.n >= 0 {
+			buf[s.start+s.n] = at - s.last
+		}
+		s.n++
+		s.last = at
+	}
+	for _, s := range keys {
+		if s.n < 3 {
 			continue // aperiodic or too rare to model
 		}
-		// Use the median as the period estimate.
-		var s sim.Summary
-		for _, iv := range ivs {
-			s.Observe(float64(iv))
-		}
-		d.period[k] = sim.Duration(s.Quantile(0.5))
+		// The period estimate is the median by nearest rank, taken as
+		// sim.Summary.Quantile(0.5) takes it, float64 round trip included.
+		d.period[s.key] = sim.Duration(float64(nearestRankMedian(buf[s.start : s.start+s.n])))
 	}
 }
 
@@ -239,6 +261,37 @@ func (d *IntervalDetector) Observe(rec netif.Record) []Alert {
 			fmt.Sprintf("interval %v < %.0f%% of period %v", iv, d.MinFraction*100, p))}
 	}
 	return nil
+}
+
+// nearestRankMedian returns the sample of rank ceil(n/2) in s, the one
+// sim.Summary.Quantile(0.5) returns, reordering s (Hoare's selection).
+func nearestRankMedian(s []sim.Duration) sim.Duration {
+	k := (len(s)+1)/2 - 1
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		x := s[k]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < x {
+				i++
+			}
+			for x < s[j] {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+	return s[k]
 }
 
 // EntropyDetector tracks per-ID payload byte entropy over sliding batches

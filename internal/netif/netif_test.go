@@ -137,7 +137,7 @@ func TestTranslateAcrossMedia(t *testing.T) {
 	}
 }
 
-func TestTraceKeysAndIntervals(t *testing.T) {
+func TestTraceKeys(t *testing.T) {
 	var tr Trace
 	add := func(at sim.Time, m Kind, id uint32) {
 		tr.Records = append(tr.Records, Record{At: at, Frame: Frame{Medium: m, ID: id}})
@@ -149,12 +149,5 @@ func TestTraceKeysAndIntervals(t *testing.T) {
 	keys := tr.Keys()
 	if len(keys) != 2 || keys[0] != MakeKey(CAN, 0x100) || keys[1] != MakeKey(LIN, 0x21) {
 		t.Fatalf("keys = %v", keys)
-	}
-	if got := len(tr.ByKey(MakeKey(CAN, 0x100))); got != 3 {
-		t.Fatalf("ByKey found %d records", got)
-	}
-	iv := tr.Intervals(MakeKey(CAN, 0x100))
-	if len(iv) != 2 || iv[0] != 20 || iv[1] != 30 {
-		t.Fatalf("intervals = %v", iv)
 	}
 }

@@ -51,18 +51,6 @@ func (t *Trace) Keys() []Key {
 	return keys
 }
 
-// ByKey returns the records carrying the given (medium, ID) key, in time
-// order.
-func (t *Trace) ByKey(k Key) []Record {
-	var out []Record
-	for _, r := range t.Records {
-		if r.Frame.Key() == k {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Between returns records with lo <= At < hi.
 func (t *Trace) Between(lo, hi sim.Time) []Record {
 	var out []Record
@@ -70,20 +58,6 @@ func (t *Trace) Between(lo, hi sim.Time) []Record {
 		if r.At >= lo && r.At < hi {
 			out = append(out, r)
 		}
-	}
-	return out
-}
-
-// Intervals returns the successive inter-arrival times of the given key —
-// the primary feature used by frequency-based intrusion detection.
-func (t *Trace) Intervals(k Key) []sim.Duration {
-	recs := t.ByKey(k)
-	if len(recs) < 2 {
-		return nil
-	}
-	out := make([]sim.Duration, 0, len(recs)-1)
-	for i := 1; i < len(recs); i++ {
-		out = append(out, recs[i].At-recs[i-1].At)
 	}
 	return out
 }
